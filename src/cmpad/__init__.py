@@ -35,7 +35,7 @@ from .network import (
     predict_score,
     save_checkpoint,
 )
-from .preprocessing import mad_normalize, resize_bilinear
+from .preprocessing import mad_normalize
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "make_loo",
     "oracle_separability",
     "predict_score",
-    "resize_bilinear",
     "run_loo",
     "save_checkpoint",
     "save_dataset",

@@ -20,10 +20,11 @@ import copy
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 from .datagen import ATTACK_TYPES, BONAFIDE, GeneratorSpec, generate, oracle_separability
-from .datasets import load_dataset, make_grandtest, make_loo, save_dataset, validate_split
+from .datasets import ProtocolSplit, load_dataset, save_dataset
 from .errors import CmpadError, ConfigError, DataError
 from .harness import (
     TrainConfig,
@@ -31,6 +32,7 @@ from .harness import (
     dump_score_distributions,
     emit_loss_curves,
     evaluate,
+    protocol_split,
     run_cross_dataset,
     run_gamma_sweep,
     run_loo,
@@ -38,7 +40,7 @@ from .harness import (
     train,
 )
 from .losses import LossParams
-from .network import NetworkConfig, OptimizerConfig, load_checkpoint, save_checkpoint
+from .network import NetworkConfig, OptimizerConfig, ParameterSet, load_checkpoint, save_checkpoint
 
 DEFAULT_CONFIG: dict = {
     "out_root": "runs",
@@ -142,28 +144,6 @@ def build_train_config(cfg: dict) -> TrainConfig:
         raise ConfigError(str(exc)) from exc
 
 
-@contextmanager
-def run_directory(path: Path, effective_cfg: dict, force: bool):
-    if path.exists() and any(path.iterdir()) and not force:
-        raise DataError(f"run directory {path} is not empty (use --force)")
-    path.mkdir(parents=True, exist_ok=True)
-    (path / "config.json").write_text(
-        json.dumps(effective_cfg, indent=2, sort_keys=True) + "\n"
-    )
-    status = path / "status"
-    status.write_text("running\n")
-    try:
-        yield path
-    except KeyboardInterrupt:
-        status.write_text("interrupted\n")
-        raise
-    except BaseException as exc:
-        status.write_text(f"failed: {type(exc).__name__}\n")
-        raise
-    else:
-        status.write_text("done\n")
-
-
 def _print_table(rows: list[list[str]], header: list[str]) -> None:
     widths = [
         max(len(str(r[i])) for r in [header, *rows]) for i in range(len(header))
@@ -214,60 +194,90 @@ def cmd_gen_data(args, cfg: dict) -> int:
     return 0
 
 
-def _load_for_run(args, channels=("a", "b")):
+@dataclass(frozen=True)
+class RunInputs:
+    """What `open_run` hands a run subcommand; what it has no use for is None."""
+
+    samples: list  # of MultiModalSample, from --data
+    records: list  # of ManifestRecord, from --data
+    train_cfg: TrainConfig | None  # subcommands that train
+    params: ParameterSet | None  # subcommands that read --checkpoint
+    split: ProtocolSplit | None  # subcommands that work on one protocol split
+    protocol: dict  # the protocol section as the experiment designs' keywords
+    out: Path
+
+
+@contextmanager
+def open_run(args, cfg: dict, with_split: bool = False):
+    """The preamble every run subcommand shares, then its run directory.
+
+    Loads --data (only the channel --head needs), builds the TrainConfig
+    or reads --checkpoint, and resolves the grandtest (or the --attack
+    leave-one-out) split when `with_split`. The inputs are yielded inside
+    the run directory, whose status marker ends as done, interrupted or
+    failed.
+    """
     if args.data is None:
         raise ConfigError("--data is required for this command")
-    return load_dataset(args.data, channels=channels)
+    head = getattr(args, "head", "joint")
+    samples, records = load_dataset(
+        args.data, channels=("a", "b") if head == "joint" else (head,)
+    )
+    if getattr(args, "checkpoint", None) is None:
+        train_cfg, params = build_train_config(cfg), None
+    else:
+        train_cfg, params = None, load_checkpoint(args.checkpoint)
+    proto = cfg["protocol"]
+    protocol = dict(
+        ratios=proto["ratios"], protocol_seed=proto["seed"], bpcer_target=proto["bpcer_target"]
+    )
+    split = None
+    if with_split:
+        split = protocol_split(
+            records, proto["ratios"], proto["seed"], cfg["train"]["seed"],
+            attack=getattr(args, "attack", None),
+        )
+    out = Path(cfg["out_root"]) / args.name
+    if out.exists() and any(out.iterdir()) and not args.force:
+        raise DataError(f"run directory {out} is not empty (use --force)")
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+    status = out / "status"
+    status.write_text("running\n")
+    try:
+        yield RunInputs(samples, records, train_cfg, params, split, protocol, out)
+    except KeyboardInterrupt:
+        status.write_text("interrupted\n")
+        raise
+    except BaseException as exc:
+        status.write_text(f"failed: {type(exc).__name__}\n")
+        raise
+    else:
+        status.write_text("done\n")
 
 
 def cmd_train(args, cfg: dict) -> int:
-    samples, records = _load_for_run(args)
-    tc = build_train_config(cfg)
-    proto = cfg["protocol"]
-    split = make_grandtest(records, ratios=tuple(proto["ratios"]), seed=proto["seed"])
-    validate_split(records, split)
-    out = Path(cfg["out_root"]) / args.name
-    with run_directory(out, cfg, args.force):
-        params, losses = train(split, by_id(samples), tc)
-        save_checkpoint(params, out / "checkpoint.bin")
-        (out / "losslog.json").write_text(json.dumps(losses) + "\n")
-    print(f"trained {tc.epochs} epochs on {split.name}; checkpoint at {out/'checkpoint.bin'}")
+    with open_run(args, cfg, with_split=True) as run:
+        params, losses = train(run.split, by_id(run.samples), run.train_cfg)
+        save_checkpoint(params, run.out / "checkpoint.bin")
+        (run.out / "losslog.json").write_text(json.dumps(losses) + "\n")
+    print(f"trained {run.train_cfg.epochs} epochs on {run.split.name}; "
+          f"checkpoint at {run.out/'checkpoint.bin'}")
     _print_table(
         [[str(i), f"{l:.6f}"] for i, l in enumerate(losses)], ["epoch", "mean loss"]
     )
     return 0
 
 
-def _split_for_eval(args, cfg, records):
-    proto = cfg["protocol"]
-    if getattr(args, "attack", None):
-        split = make_loo(
-            records, args.attack, ratios=tuple(proto["ratios"]), seed=proto["seed"]
-        )
-    else:
-        split = make_grandtest(records, ratios=tuple(proto["ratios"]), seed=proto["seed"])
-    validate_split(records, split)
-    return split
-
-
 def cmd_eval(args, cfg: dict) -> int:
-    channels = ("a", "b")
-    if args.head == "a":
-        channels = ("a",)
-    elif args.head == "b":
-        channels = ("b",)
-    samples, records = _load_for_run(args, channels=channels)
-    params = load_checkpoint(args.checkpoint)
-    split = _split_for_eval(args, cfg, records)
-    out = Path(cfg["out_root"]) / args.name
-    with run_directory(out, cfg, args.force):
+    with open_run(args, cfg, with_split=True) as run:
         report, _, _ = evaluate(
-            params, split, by_id(samples), head=args.head,
-            threshold_rule=args.rule, bpcer_target=cfg["protocol"]["bpcer_target"],
-            out_dir=out,
+            run.params, run.split, by_id(run.samples), head=args.head,
+            threshold_rule=args.rule, bpcer_target=run.protocol["bpcer_target"],
+            out_dir=run.out,
         )
     _print_table(
-        [[split.name, _pct(report.apcer), _pct(report.bpcer), _pct(report.acer),
+        [[run.split.name, _pct(report.apcer), _pct(report.bpcer), _pct(report.acer),
           f"{report.threshold:.6g}"]],
         ["protocol", "APCER%", "BPCER%", "ACER%", "threshold"],
     )
@@ -275,15 +285,9 @@ def cmd_eval(args, cfg: dict) -> int:
 
 
 def cmd_loo(args, cfg: dict) -> int:
-    samples, records = _load_for_run(args)
-    tc = build_train_config(cfg)
-    proto = cfg["protocol"]
-    out = Path(cfg["out_root"]) / args.name
-    with run_directory(out, cfg, args.force):
+    with open_run(args, cfg) as run:
         result = run_loo(
-            samples, records, tc, out_dir=out,
-            ratios=tuple(proto["ratios"]), protocol_seed=proto["seed"],
-            bpcer_target=proto["bpcer_target"],
+            run.samples, run.records, run.train_cfg, out_dir=run.out, **run.protocol
         )
     rows = [
         [r.attack, _pct(r.report.apcer), _pct(r.report.bpcer), _pct(r.report.acer)]
@@ -297,12 +301,11 @@ def cmd_loo(args, cfg: dict) -> int:
 
 
 def cmd_sweep_gamma(args, cfg: dict) -> int:
-    samples, records = _load_for_run(args)
-    tc = build_train_config(cfg)
-    gammas = args.gammas
-    out = Path(cfg["out_root"]) / args.name
-    with run_directory(out, cfg, args.force):
-        results = run_gamma_sweep(samples, records, tc, gammas=gammas, out_dir=out)
+    with open_run(args, cfg) as run:
+        results = run_gamma_sweep(
+            run.samples, run.records, run.train_cfg, gammas=args.gammas,
+            out_dir=run.out, **run.protocol,
+        )
     rows = [
         [f"{g:g}", f"{_pct(r.acer_mean)}±{_pct(r.acer_std)}"]
         for g, r in sorted(results.items())
@@ -312,14 +315,10 @@ def cmd_sweep_gamma(args, cfg: dict) -> int:
 
 
 def cmd_single_channel(args, cfg: dict) -> int:
-    samples, records = _load_for_run(args)
-    tc = build_train_config(cfg)
-    proto = cfg["protocol"]
-    out = Path(cfg["out_root"]) / args.name
-    with run_directory(out, cfg, args.force):
+    with open_run(args, cfg) as run:
         study = run_single_channel_study(
-            samples, records, tc, seeds=args.seeds, out_dir=out,
-            ratios=tuple(proto["ratios"]), protocol_seed=proto["seed"],
+            run.samples, run.records, run.train_cfg, seeds=args.seeds,
+            out_dir=run.out, **run.protocol,
         )
     rows = []
     for variant in ("bce", "cmfl"):
@@ -334,15 +333,11 @@ def cmd_single_channel(args, cfg: dict) -> int:
 def cmd_xdb(args, cfg: dict) -> int:
     if args.data2 is None:
         raise ConfigError("--data2 (target dataset) is required for xdb")
-    source = _load_for_run(args)
     target = load_dataset(args.data2)
-    tc = build_train_config(cfg)
-    proto = cfg["protocol"]
-    out = Path(cfg["out_root"]) / args.name
-    with run_directory(out, cfg, args.force):
+    with open_run(args, cfg) as run:
         result = run_cross_dataset(
-            source, target, tc, out_dir=out,
-            ratios=tuple(proto["ratios"]), protocol_seed=proto["seed"],
+            (run.samples, run.records), target, run.train_cfg, out_dir=run.out,
+            ratios=run.protocol["ratios"], protocol_seed=run.protocol["protocol_seed"],
         )
     _print_table(
         [
@@ -356,22 +351,16 @@ def cmd_xdb(args, cfg: dict) -> int:
 
 
 def cmd_report(args, cfg: dict) -> int:
-    samples, records = _load_for_run(args)
-    params = load_checkpoint(args.checkpoint)
-    split = _split_for_eval(args, cfg, records)
-    out = Path(cfg["out_root"]) / args.name
-    with run_directory(out, cfg, args.force):
-        result = dump_score_distributions(params, split, by_id(samples), out_dir=out)
-        emit_loss_curves(
-            gammas=(cfg["loss"]["gamma"],),
-            q_values=(0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0),
-            out_path=out / "losscurve.tsv",
+    with open_run(args, cfg, with_split=True) as run:
+        result = dump_score_distributions(
+            run.params, run.split, by_id(run.samples), out_dir=run.out
         )
+        emit_loss_curves(gammas=(cfg["loss"]["gamma"],), out_path=run.out / "losscurve.tsv")
     rows = [
         [head, f"{result['overlap'][head]:.4f}"] for head in ("a", "b", "joint")
     ]
     _print_table(rows, ["head", "bonafide/attack overlap"])
-    print(f"histograms and loss curves written to {out}")
+    print(f"histograms and loss curves written to {run.out}")
     return 0
 
 
@@ -379,7 +368,7 @@ def cmd_report(args, cfg: dict) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser, needs_data: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, needs_data=True, trains=True) -> None:
     p.add_argument("--config", help="JSON config file (overrides built-in defaults)")
     p.add_argument("--out", help="output root for run directories")
     p.add_argument("--name", help="run directory name (default: subcommand)")
@@ -387,6 +376,8 @@ def _add_common(p: argparse.ArgumentParser, needs_data: bool = True) -> None:
     p.add_argument("--seed", type=int, help="master seed override")
     if needs_data:
         p.add_argument("--data", help="dataset directory (from gen-data)")
+    if needs_data and trains:
+        p.add_argument("--epochs", type=int, help="training epochs override")
 
 
 def _comma_floats(text: str) -> list[float]:
@@ -417,11 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train on the grandtest protocol")
     _add_common(p)
-    p.add_argument("--epochs", type=int, help="training epochs override")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    _add_common(p)
+    _add_common(p, trains=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--head", choices=("a", "b", "joint"), default="joint")
     p.add_argument("--rule", choices=("bpcer", "eer"), default="bpcer")
@@ -430,12 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("loo", help="leave-one-out unseen-attack table")
     _add_common(p)
-    p.add_argument("--epochs", type=int, help="training epochs override")
     p.set_defaults(func=cmd_loo)
 
     p = sub.add_parser("sweep-gamma", help="focusing-exponent ablation")
     _add_common(p)
-    p.add_argument("--epochs", type=int, help="training epochs override")
     p.add_argument(
         "--gammas", type=_comma_floats, default=[0.0, 1.0, 2.0, 3.0, 4.0],
         help="comma-separated gamma grid (default 0,1,2,3,4)",
@@ -444,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("single-channel", help="single-channel deployment study")
     _add_common(p)
-    p.add_argument("--epochs", type=int, help="training epochs override")
     p.add_argument(
         "--seeds", type=_comma_ints, default=[0, 1, 2, 3, 4],
         help="comma-separated training seeds (default 0,1,2,3,4)",
@@ -454,11 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("xdb", help="cross-dataset evaluation")
     _add_common(p)
     p.add_argument("--data2", help="target dataset directory")
-    p.add_argument("--epochs", type=int, help="training epochs override")
     p.set_defaults(func=cmd_xdb)
 
     p = sub.add_parser("report", help="score distributions and loss curves")
-    _add_common(p)
+    _add_common(p, trains=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--attack", help="report on the leave-one-out split for this attack")
     p.set_defaults(func=cmd_report)

@@ -102,7 +102,10 @@ def _read_netpbm(path: Path) -> np.ndarray:
             pos += 1
         fields.append(raw[start:pos])
     pos += 1  # single whitespace after maxval
-    magic, w, h, maxval = fields[0], int(fields[1]), int(fields[2]), int(fields[3])
+    try:
+        magic, w, h, maxval = fields[0], int(fields[1]), int(fields[2]), int(fields[3])
+    except ValueError as exc:
+        raise DataError(f"{path.name}: bad netpbm header {fields}") from exc
     if maxval != 255:
         raise DataError(f"{path.name}: only maxval 255 rasters supported")
     if magic == b"P6":

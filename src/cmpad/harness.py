@@ -110,10 +110,21 @@ def by_id(samples: Sequence[MultiModalSample]) -> dict[str, MultiModalSample]:
     return {s.id: s for s in samples}
 
 
-def _stack(samples: Sequence[MultiModalSample], channel: str) -> np.ndarray:
+def _stack(
+    samples: Sequence[MultiModalSample], channel: str, net: NetworkConfig
+) -> np.ndarray:
+    """One channel of `samples` as a batch with the network's input shape."""
     arrays = [s.x_a if channel == "a" else s.x_b for s in samples]
     if any(a is None for a in arrays):
         raise DataError(f"channel {channel} not loaded for some samples")
+    depth = net.channels_a if channel == "a" else net.channels_b
+    want = (depth, net.input_height, net.input_width)
+    wrong = {a.shape for a in arrays} - {want}
+    if wrong:
+        raise DataError(
+            f"incompatible shapes: channel {channel} rasters are {sorted(wrong)}, "
+            f"the network config expects {want}"
+        )
     return np.stack(arrays)
 
 
@@ -140,8 +151,8 @@ def train(
     net_cfg = replace(cfg.network, seed=_derived_seed(cfg.seed, "init"))
     params = init_network(net_cfg)
 
-    xa = _stack(train_samples, "a")
-    xb = _stack(train_samples, "b")
+    xa = _stack(train_samples, "a", net_cfg)
+    xb = _stack(train_samples, "b", net_cfg)
     ys = np.array([s.label for s in train_samples])
     n = len(train_samples)
 
@@ -178,14 +189,15 @@ def score_samples(
 ) -> list[ScoreRecord]:
     """ScoreRecords for a sample group; heads not computed are NaN."""
     cols = {h: np.full(len(group), np.nan) for h in ("a", "b", "joint")}
+    net = params.config
     if "joint" in heads:
-        out = forward(params, _stack(group, "a"), _stack(group, "b"))
+        out = forward(params, _stack(group, "a", net), _stack(group, "b", net))
         cols["a"], cols["b"], cols["joint"] = out.p, out.q, out.r
     else:
         if "a" in heads:
-            cols["a"] = predict_score(params, x_a=_stack(group, "a"), head="a")
+            cols["a"] = predict_score(params, x_a=_stack(group, "a", net), head="a")
         if "b" in heads:
-            cols["b"] = predict_score(params, x_b=_stack(group, "b"), head="b")
+            cols["b"] = predict_score(params, x_b=_stack(group, "b", net), head="b")
     return [
         ScoreRecord(
             sample_id=s.id, label=s.label, attack_type=s.attack_type,
@@ -255,6 +267,53 @@ def evaluate(
 # experiment designs
 
 
+def protocol_split(
+    records: Sequence[ManifestRecord],
+    ratios: Sequence[float] = (0.5, 0.25, 0.25),
+    protocol_seed: int | None = None,
+    master_seed: int = 0,
+    attack: str | None = None,
+) -> ProtocolSplit:
+    """The validated grandtest split, or the leave-one-out split holding out
+    `attack`; without a `protocol_seed` the seed derives from `master_seed`."""
+    if protocol_seed is None:
+        protocol_seed = _derived_seed(master_seed, "protocol")
+    if attack is None:
+        split = make_grandtest(records, ratios=ratios, seed=protocol_seed)
+    else:
+        split = make_loo(records, attack, ratios=ratios, seed=protocol_seed)
+    validate_split(records, split)
+    return split
+
+
+def run_leg(
+    split: ProtocolSplit,
+    pool: dict[str, MultiModalSample],
+    cfg: TrainConfig,
+    heads: Sequence[str] = ("joint",),
+    threshold_rule: str = "bpcer",
+    bpcer_target: float = 0.01,
+    out_dir: str | Path | None = None,
+) -> tuple[ParameterSet, dict[str, tuple]]:
+    """Train on a split from `protocol_split`, then `evaluate` each head:
+    returns the parameters and each head's (report, dev, eval records).
+
+    With `out_dir` the score files, report and checkpoint go there; the
+    report is named after the split, so a leg that writes has one head.
+    """
+    params, _ = train(split, pool, cfg)
+    evaluations = {
+        head: evaluate(
+            params, split, pool, head=head, threshold_rule=threshold_rule,
+            bpcer_target=bpcer_target, out_dir=out_dir,
+        )
+        for head in heads
+    }
+    if out_dir is not None:
+        save_checkpoint(params, Path(out_dir) / "checkpoint.bin")
+    return params, evaluations
+
+
 def run_loo(
     samples: Sequence[MultiModalSample],
     records: Sequence[ManifestRecord],
@@ -265,30 +324,20 @@ def run_loo(
     bpcer_target: float = 0.01,
     head: str = "joint",
 ) -> ExperimentResult:
-    """One train+evaluate per attack type, leave-one-out; aggregates ACER."""
+    """One leg per attack type, leave-one-out; aggregates ACER."""
     t0 = time.monotonic()
     attacks = sorted({r.attack_type for r in records if r.attack_type != BONAFIDE})
     if len(attacks) < 2:
         raise DataError(f"need at least 2 attack types for leave-one-out, got {attacks}")
-    pseed = (
-        protocol_seed
-        if protocol_seed is not None
-        else _derived_seed(cfg.seed, "protocol")
-    )
     pool = by_id(samples)
     rows = []
     for attack in attacks:
-        split = make_loo(records, attack, ratios=ratios, seed=pseed)
-        validate_split(records, split)
-        params, _ = train(split, pool, cfg)
+        split = protocol_split(records, ratios, protocol_seed, cfg.seed, attack=attack)
         leg_dir = Path(out_dir) / split.name if out_dir is not None else None
-        report, _, _ = evaluate(
-            params, split, pool, head=head,
-            threshold_rule="bpcer", bpcer_target=bpcer_target, out_dir=leg_dir,
+        _, evaluations = run_leg(
+            split, pool, cfg, (head,), bpcer_target=bpcer_target, out_dir=leg_dir
         )
-        if leg_dir is not None:
-            save_checkpoint(params, leg_dir / "checkpoint.bin")
-        rows.append(ProtocolOutcome(protocol=split.name, attack=attack, report=report))
+        rows.append(ProtocolOutcome(split.name, attack, evaluations[head][0]))
     acers = np.array([r.report.acer for r in rows])
     result = ExperimentResult(
         rows=tuple(rows),
@@ -329,6 +378,9 @@ def run_gamma_sweep(
     cfg: TrainConfig,
     gammas: Sequence[float] = (0.0, 1.0, 2.0, 3.0, 4.0),
     out_dir: str | Path | None = None,
+    ratios: Sequence[float] = (0.5, 0.25, 0.25),
+    protocol_seed: int | None = None,
+    bpcer_target: float = 0.01,
 ) -> dict[float, ExperimentResult]:
     """Full leave-one-out run per focusing exponent; gamma 0 is the
     plain-BCE baseline by construction."""
@@ -340,7 +392,10 @@ def run_gamma_sweep(
     for gamma in gammas:
         sweep_cfg = replace(cfg, loss=replace(cfg.loss, gamma=float(gamma)))
         leg_out = Path(out_dir) / f"gamma_{gamma:g}" if out_dir is not None else None
-        results[float(gamma)] = run_loo(samples, records, sweep_cfg, out_dir=leg_out)
+        results[float(gamma)] = run_loo(
+            samples, records, sweep_cfg, out_dir=leg_out, ratios=ratios,
+            protocol_seed=protocol_seed, bpcer_target=bpcer_target,
+        )
     return results
 
 
@@ -353,6 +408,7 @@ def run_single_channel_study(
     out_dir: str | Path | None = None,
     ratios: Sequence[float] = (0.5, 0.25, 0.25),
     protocol_seed: int | None = None,
+    bpcer_target: float = 0.01,
 ) -> dict:
     """2x2 design: {BCE(gamma=0), cross-modal focal(gamma)} x {head a, b}.
 
@@ -360,38 +416,25 @@ def run_single_channel_study(
     evaluates each head separately with its own dev threshold. Reports
     per-seed ACERs and the across-seed median per cell.
     """
-    pseed = (
-        protocol_seed
-        if protocol_seed is not None
-        else _derived_seed(cfg.seed, "protocol")
-    )
-    split = make_grandtest(records, ratios=ratios, seed=pseed)
-    validate_split(records, split)
+    split = protocol_split(records, ratios, protocol_seed, cfg.seed)
     pool = by_id(samples)
     variants = {"bce": 0.0, "cmfl": float(gamma_focal)}
-    cells: dict[str, dict[str, list[float]]] = {
-        v: {"a": [], "b": []} for v in variants
+    per_seed: dict[str, list[float]] = {
+        f"{variant}_head_{head}": [] for variant in variants for head in ("a", "b")
     }
     for seed in seeds:
         for variant, gamma in variants.items():
             run_cfg = replace(
                 cfg, seed=seed, loss=replace(cfg.loss, gamma=gamma)
             )
-            params, _ = train(split, pool, run_cfg)
+            _, evaluations = run_leg(
+                split, pool, run_cfg, ("a", "b"), bpcer_target=bpcer_target
+            )
             for head in ("a", "b"):
-                report, _, _ = evaluate(params, split, pool, head=head)
-                cells[variant][head].append(report.acer)
+                per_seed[f"{variant}_head_{head}"].append(evaluations[head][0].acer)
     study = {
-        "per_seed": {
-            f"{variant}_head_{head}": accs
-            for variant, heads in cells.items()
-            for head, accs in heads.items()
-        },
-        "median": {
-            f"{variant}_head_{head}": float(np.median(accs))
-            for variant, heads in cells.items()
-            for head, accs in heads.items()
-        },
+        "per_seed": per_seed,
+        "median": {cell: float(np.median(accs)) for cell, accs in per_seed.items()},
         "seeds": list(seeds),
         "protocol": split.name,
         "gamma_focal": gamma_focal,
@@ -424,27 +467,18 @@ def run_cross_dataset(
             f"incompatible shapes between datasets: "
             f"{shape_of(src_samples)} vs {shape_of(tgt_samples)}"
         )
-    pseed = (
-        protocol_seed
-        if protocol_seed is not None
-        else _derived_seed(cfg.seed, "protocol")
-    )
-    src_split = make_grandtest(src_records, ratios=ratios, seed=pseed, name="grandtest_source")
-    tgt_split = make_grandtest(tgt_records, ratios=ratios, seed=pseed, name="grandtest_target")
-    src_pool = by_id(src_samples)
+    src_split = protocol_split(src_records, ratios, protocol_seed, cfg.seed)
+    tgt_split = protocol_split(tgt_records, ratios, protocol_seed, cfg.seed)
     tgt_pool = by_id(tgt_samples)
-    params, _ = train(src_split, src_pool, cfg)
-
-    dev_records = score_samples(params, [src_pool[i] for i in src_split.dev])
-    tau, eer = eer_threshold(dev_records, head="joint")
-    intra_records = score_samples(params, [src_pool[i] for i in src_split.eval])
+    params, evaluations = run_leg(src_split, by_id(src_samples), cfg, threshold_rule="eer")
+    intra, dev_records, intra_records = evaluations["joint"]
+    tau = intra.threshold
     cross_records = score_samples(params, [tgt_pool[i] for i in tgt_split.eval])
-    intra = apcer_bpcer_acer(intra_records, tau, head="joint", threshold_rule="EER")
     cross = apcer_bpcer_acer(cross_records, tau, head="joint", threshold_rule="EER")
     result = {
         "threshold": tau,
         "threshold_rule": "EER",
-        "dev_eer": eer,
+        "dev_eer": eer_threshold(dev_records, head="joint")[1],
         "intra_hter": intra.hter,
         "cross_hter": cross.hter,
         "intra": asdict(intra),

@@ -470,7 +470,10 @@ def _write_array(out: io.BufferedWriter, name: str, arr: np.ndarray) -> None:
 
 def _read_array(buf: io.BufferedReader) -> tuple[str, np.ndarray]:
     (name_len,) = struct.unpack("<H", _read_exact(buf, 2))
-    name = _read_exact(buf, name_len).decode("utf-8")
+    try:
+        name = _read_exact(buf, name_len).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadCheckpointFormat(f"bad checkpoint format: array name {exc}") from exc
     (code,) = struct.unpack("<B", _read_exact(buf, 1))
     if code not in _CODE_DTYPES:
         raise BadCheckpointFormat(f"unknown dtype code {code}")
@@ -525,8 +528,10 @@ def load_checkpoint(path: str | Path) -> ParameterSet:
                 f"checkpoint version {version}, expected {_VERSION}"
             )
         (cfg_len,) = struct.unpack("<I", _read_exact(buf, 4))
-        cfg_json = json.loads(_read_exact(buf, cfg_len).decode("utf-8"))
-        config = NetworkConfig(**cfg_json)
+        try:
+            config = NetworkConfig(**json.loads(_read_exact(buf, cfg_len).decode("utf-8")))
+        except (TypeError, ValueError) as exc:  # bad UTF-8 or JSON, unknown key, geometry
+            raise BadCheckpointFormat(f"bad checkpoint format: config {exc}") from exc
         (step,) = struct.unpack("<Q", _read_exact(buf, 8))
         (n_records,) = struct.unpack("<I", _read_exact(buf, 4))
         groups: dict[str, dict[str, np.ndarray]] = {"p": {}, "m": {}, "v": {}}
@@ -548,6 +553,10 @@ def load_checkpoint(path: str | Path) -> ParameterSet:
             if arr.shape != expected[name]:
                 raise CheckpointShapeMismatch(
                     f"{name}: shape {arr.shape} != {expected[name]}"
+                )
+            if not np.isfinite(arr).all():
+                raise BadCheckpointFormat(
+                    f"bad checkpoint format: {group_name}/{name} holds NaN or inf"
                 )
     return ParameterSet(
         config=config,

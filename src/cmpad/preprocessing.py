@@ -42,41 +42,3 @@ def mad_normalize(depth: np.ndarray, k: float = 3.0) -> np.ndarray:
     out[valid] = np.clip(quantized, 0.0, 255.0) / 255.0
     return out
 
-
-def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Separable bilinear resize.
-
-    Convention (fixed): the output grid is anchored at the top-left
-    corner and sampled at source coordinates i * in_size / out_size,
-    clamped to the valid range. Identity sizes reproduce the input
-    bit-exactly and constants are preserved.
-
-    Accepts (H, W) or (H, W, C) arrays.
-    """
-    if out_h < 1 or out_w < 1:
-        raise ValueError("target dims must be positive")
-    arr = np.asarray(img, dtype=np.float64)
-    squeeze = arr.ndim == 2
-    if squeeze:
-        arr = arr[:, :, None]
-    if arr.ndim != 3:
-        raise ValueError(f"expected 2-D or 3-D image, got shape {arr.shape}")
-    in_h, in_w, _ = arr.shape
-
-    def axis_coords(n_out: int, n_in: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        src = np.arange(n_out, dtype=np.float64) * (n_in / n_out)
-        src = np.clip(src, 0.0, n_in - 1.0)
-        lo = np.floor(src).astype(np.int64)
-        hi = np.minimum(lo + 1, n_in - 1)
-        frac = src - lo
-        return lo, hi, frac
-
-    ylo, yhi, yf = axis_coords(out_h, in_h)
-    xlo, xhi, xf = axis_coords(out_w, in_w)
-
-    rows = arr[ylo] * (1.0 - yf)[:, None, None] + arr[yhi] * yf[:, None, None]
-    out = (
-        rows[:, xlo] * (1.0 - xf)[None, :, None]
-        + rows[:, xhi] * xf[None, :, None]
-    )
-    return out[:, :, 0] if squeeze else out

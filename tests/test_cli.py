@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from cmpad import harness
 from cmpad.cli import DEFAULT_CONFIG, load_effective_config, main
 from cmpad.errors import ConfigError
 
@@ -38,6 +39,21 @@ def tree_bytes(root: Path, skip=("run_meta.json",)) -> dict:
         for p in sorted(root.rglob("*"))
         if p.is_file() and p.name not in skip
     }
+
+
+RUN_FILES = {"config.json", "status"}  # written by every run subcommand
+LEGS = ("loo_a_visible", "loo_b_visible", "loo_both_visible")
+LOO_FILES = {"summary.json", "run_meta.json"} | {
+    f"{leg}/{name}"
+    for leg in LEGS
+    for name in ("checkpoint.bin", f"report_{leg}.json",
+                 "scores_dev_joint.tsv", "scores_eval_joint.tsv")
+}
+
+
+def written(run: Path) -> set:
+    """Relative paths of every file under a run directory."""
+    return {str(p.relative_to(run)) for p in run.rglob("*") if p.is_file()}
 
 
 class TestConfig:
@@ -131,11 +147,7 @@ class TestRunCommands:
             assert attack in text
         run = out / "loo1"
         assert (run / "status").read_text() == "done\n"
-        assert (run / "summary.json").exists()
-        for leg in ("loo_a_visible", "loo_b_visible", "loo_both_visible"):
-            assert (run / leg / f"report_{leg}.json").exists()
-            assert (run / leg / "scores_eval_joint.tsv").exists()
-            assert (run / leg / "checkpoint.bin").exists()
+        assert written(run) == RUN_FILES | LOO_FILES
 
     def test_rerun_from_echoed_config_is_bit_identical(self, tmp_path, tiny_config, dataset):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -157,21 +169,27 @@ class TestRunCommands:
         assert code == 0
         text = capsys.readouterr().out
         assert "gamma" in text
-        assert (out / "sw" / "gamma_0" / "summary.json").exists()
-        assert (out / "sw" / "gamma_3" / "summary.json").exists()
+        assert written(out / "sw") == RUN_FILES | {
+            f"gamma_{g}/{f}" for g in (0, 3) for f in LOO_FILES
+        }
 
     def test_eval_and_report(self, tmp_path, tiny_config, dataset, capsys):
         out = tmp_path / "runs"
         assert main(["train", "--data", str(dataset), "--config", str(tiny_config),
                      "--out", str(out), "--name", "tr"]) == 0
+        assert written(out / "tr") == RUN_FILES | {"checkpoint.bin", "losslog.json"}
         ckpt = out / "tr" / "checkpoint.bin"
         assert main(["eval", "--data", str(dataset), "--config", str(tiny_config),
                      "--out", str(out), "--name", "ev", "--checkpoint", str(ckpt)]) == 0
-        assert (out / "ev" / "report_grandtest.json").exists()
+        assert written(out / "ev") == RUN_FILES | {
+            "report_grandtest.json", "scores_dev_joint.tsv", "scores_eval_joint.tsv"
+        }
         assert main(["report", "--data", str(dataset), "--config", str(tiny_config),
                      "--out", str(out), "--name", "rep", "--checkpoint", str(ckpt)]) == 0
-        assert (out / "rep" / "histograms.tsv").exists()
-        assert (out / "rep" / "losscurve.tsv").exists()
+        assert written(out / "rep") == RUN_FILES | {
+            "histograms.tsv", "losscurve.tsv",
+            "scores_eval_a.tsv", "scores_eval_b.tsv", "scores_eval_joint.tsv",
+        }
 
     def test_eval_head_b_never_reads_channel_a(self, tmp_path, tiny_config, dataset):
         out = tmp_path / "runs"
@@ -195,6 +213,7 @@ class TestRunCommands:
         assert code == 0
         study = json.loads((out / "sc" / "single_channel_study.json").read_text())
         assert len(study["per_seed"]) == 4  # 2 losses x 2 heads
+        assert written(out / "sc") == RUN_FILES | {"single_channel_study.json"}
 
     def test_xdb(self, tmp_path, tiny_config, dataset):
         other = tmp_path / "ds2"
@@ -209,11 +228,44 @@ class TestRunCommands:
         result = json.loads((out / "x" / "cross_dataset.json").read_text())
         assert result["threshold_rule"] == "EER"
         assert 0.0 <= result["cross_hter"] <= 1.0
+        assert written(out / "x") == RUN_FILES | {
+            "cross_dataset.json", "scores_dev_joint.tsv",
+            "scores_eval_intra_joint.tsv", "scores_eval_cross_joint.tsv",
+        }
+
+    def test_every_design_honours_protocol_section(self, tmp_path, dataset, monkeypatch):
+        # a split seed and BPCER target that differ from every default
+        path = tmp_path / "proto.json"
+        path.write_text(json.dumps({**TINY, "protocol": {"seed": 5, "bpcer_target": 0.2}}))
+        out = tmp_path / "runs"
+        common = ["--data", str(dataset), "--config", str(path), "--out", str(out)]
+        assert main(["loo", *common, "--name", "loo"]) == 0
+        assert main(["sweep-gamma", *common, "--name", "sw", "--gammas", "3"]) == 0
+        # the gamma=3 sweep legs are the loo legs: same splits, threshold rule, bytes
+        loo = tree_bytes(out / "loo", skip=("run_meta.json", "config.json", "status"))
+        assert loo == tree_bytes(out / "sw" / "gamma_3")
+
+        targets = []
+        real = harness.threshold_at_bpcer
+
+        def spy(dev_records, target=0.01, head="joint"):
+            targets.append(target)
+            return real(dev_records, target=target, head=head)
+
+        monkeypatch.setattr(harness, "threshold_at_bpcer", spy)
+        assert main(["single-channel", *common, "--name", "sc", "--seeds", "0"]) == 0
+        assert targets == [0.2] * 4  # 2 losses x 2 heads
 
     def test_missing_dataset_is_data_error(self, tmp_path, tiny_config, capsys):
         code = main(["loo", "--data", str(tmp_path / "nope"),
                      "--config", str(tiny_config), "--out", str(tmp_path / "r")])
         assert code == 3
+
+    def test_raster_shape_mismatch_is_data_error(self, tmp_path, dataset, capsys):
+        # 16x16 rasters under the default 32x32 network
+        assert main(["train", "--data", str(dataset), "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert "(3, 16, 16)" in err and "(3, 32, 32)" in err
 
     def test_loo_refuses_existing_run_dir(self, tmp_path, tiny_config, dataset, capsys):
         out = tmp_path / "runs"

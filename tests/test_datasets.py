@@ -66,6 +66,11 @@ class TestRasterIO:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(DataError, match="truncated"):
             read_channel(path)
+        # a header cut short, or with a field that is not an integer
+        for header in (b"P5\n4 x", b"P5\n4 4", b"P5\n4 4 2y5\n"):
+            path.write_bytes(header)
+            with pytest.raises(DataError, match="bad netpbm header"):
+                read_channel(path)
 
 
 class TestDatasetRoundtrip:

@@ -302,13 +302,31 @@ class TestCheckpoint:
         np.testing.assert_array_equal(before.p, after.p)
 
     def test_bad_magic(self, tmp_path):
+        # and every other field that does not decode to a valid network
         path = tmp_path / "m.bin"
         save_checkpoint(init_network(CFG), path)
-        data = bytearray(path.read_bytes())
-        data[:4] = b"XXXX"
-        path.write_bytes(bytes(data))
-        with pytest.raises(BadCheckpointFormat, match="bad checkpoint format"):
-            load_checkpoint(path)
+        good = path.read_bytes()
+        cfg_end = 16 + int.from_bytes(good[12:16], "little")
+        cfg = good[16:cfg_end]
+        name_at = cfg_end + 8 + 4 + 2  # after step, record count, name length
+        bad_cfg = lambda old, new: good[:16] + cfg.replace(old, new) + good[cfg_end:]
+        corrupted = [
+            b"XXXX" + good[4:],
+            good[:17] + b"\xff" + good[18:],  # config not UTF-8
+            bad_cfg(b'"seed"', b'"sEEd"'),  # unknown config key
+            bad_cfg(b'"blocks_per_branch": 2', b'"blocks_per_branch": 0'),  # geometry
+            good[:name_at] + b"\xff" + good[name_at + 1 :],  # array name not UTF-8
+        ]
+        for bad_value in (np.nan, np.inf):
+            ps = init_network(CFG)
+            ps.params["head_a/b"][...] = bad_value
+            save_checkpoint(ps, path)
+            corrupted.append(path.read_bytes())
+        for data in corrupted:
+            assert len(data) == len(good)
+            path.write_bytes(data)
+            with pytest.raises(BadCheckpointFormat, match="bad checkpoint format"):
+                load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "m.bin"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmpad.errors import DataError
-from cmpad.preprocessing import mad_normalize, resize_bilinear
+from cmpad.preprocessing import mad_normalize
 
 
 class TestMadNormalize:
@@ -55,41 +55,3 @@ class TestMadNormalize:
         shifted = mad_normalize(a * depth + b)
         assert np.max(np.abs(base - shifted)) <= 1.0 / 255.0 + 1e-12
 
-
-class TestResizeBilinear:
-    def test_identity_is_bit_exact(self):
-        rng = np.random.default_rng(0)
-        img = rng.random((13, 7))
-        out = resize_bilinear(img, 13, 7)
-        np.testing.assert_array_equal(out, img)
-
-    def test_checkerboard_upsample_has_half_midpoints(self):
-        img = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = resize_bilinear(img, 4, 4)
-        assert out[1, 1] == 0.5
-        assert out[0, 1] == 0.5
-        assert out[1, 0] == 0.5
-
-    def test_constant_preserved(self):
-        img = np.full((6, 6), 0.37)
-        out = resize_bilinear(img, 11, 5)
-        np.testing.assert_allclose(out, 0.37, rtol=0, atol=1e-14)
-
-    def test_channels_last_supported(self):
-        rng = np.random.default_rng(1)
-        img = rng.random((8, 8, 3))
-        out = resize_bilinear(img, 4, 4)
-        assert out.shape == (4, 4, 3)
-        for c in range(3):
-            np.testing.assert_array_equal(out[:, :, c], resize_bilinear(img[:, :, c], 4, 4))
-
-    def test_bad_dims(self):
-        with pytest.raises(ValueError):
-            resize_bilinear(np.zeros((4, 4)), 0, 4)
-
-    def test_range_preserved(self):
-        rng = np.random.default_rng(2)
-        img = rng.random((10, 10))
-        out = resize_bilinear(img, 23, 17)
-        assert out.min() >= img.min() - 1e-12
-        assert out.max() <= img.max() + 1e-12
