@@ -29,7 +29,6 @@ from .metrics import (
 from .network import (
     NetworkConfig,
     OptimizerConfig,
-    forward,
     init_network,
     load_checkpoint,
     predict_score,
@@ -58,7 +57,6 @@ __all__ = [
     "cross_modal_weight",
     "eer_threshold",
     "evaluate",
-    "forward",
     "generate",
     "hter",
     "init_network",

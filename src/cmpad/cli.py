@@ -40,7 +40,9 @@ from .harness import (
     train,
 )
 from .losses import LossParams
-from .network import NetworkConfig, OptimizerConfig, ParameterSet, load_checkpoint, save_checkpoint
+from .network import (
+    HEAD_BRANCHES, NetworkConfig, OptimizerConfig, ParameterSet, load_checkpoint, save_checkpoint,
+)
 
 DEFAULT_CONFIG: dict = {
     "out_root": "runs",
@@ -144,6 +146,25 @@ def build_train_config(cfg: dict) -> TrainConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def build_protocol(cfg: dict) -> dict:
+    """The protocol section as the experiment designs' keywords.
+
+    `ratios` must be three non-negative fractions summing to 1 and
+    `bpcer_target` a fraction in [0, 1].
+    """
+    proto = cfg["protocol"]
+    ratios, target = proto["ratios"], proto["bpcer_target"]
+    number = lambda x: isinstance(x, (int, float)) and not isinstance(x, bool)
+    fractions = isinstance(ratios, list) and all(number(r) and r >= 0 for r in ratios)
+    if not (fractions and len(ratios) == 3 and abs(sum(ratios) - 1.0) <= 1e-9):
+        raise ConfigError(
+            f"protocol.ratios must be three fractions >= 0 summing to 1, got {ratios!r}"
+        )
+    if not (number(target) and 0.0 <= target <= 1.0):
+        raise ConfigError(f"protocol.bpcer_target must be in [0, 1], got {target!r}")
+    return dict(ratios=ratios, protocol_seed=proto["seed"], bpcer_target=target)
+
+
 def _print_table(rows: list[list[str]], header: list[str]) -> None:
     widths = [
         max(len(str(r[i])) for r in [header, *rows]) for i in range(len(header))
@@ -211,30 +232,26 @@ class RunInputs:
 def open_run(args, cfg: dict, with_split: bool = False):
     """The preamble every run subcommand shares, then its run directory.
 
-    Loads --data (only the channel --head needs), builds the TrainConfig
-    or reads --checkpoint, and resolves the grandtest (or the --attack
-    leave-one-out) split when `with_split`. The inputs are yielded inside
-    the run directory, whose status marker ends as done, interrupted or
-    failed.
+    Checks the protocol section, loads --data (only the channels --head
+    needs), builds the TrainConfig or reads --checkpoint, and resolves the
+    grandtest (or the --attack leave-one-out) split when `with_split`. The
+    inputs are yielded inside the run directory, whose status marker ends
+    as done, interrupted or failed.
     """
     if args.data is None:
         raise ConfigError("--data is required for this command")
-    head = getattr(args, "head", "joint")
+    protocol = build_protocol(cfg)
     samples, records = load_dataset(
-        args.data, channels=("a", "b") if head == "joint" else (head,)
+        args.data, channels=HEAD_BRANCHES[getattr(args, "head", "joint")]
     )
     if getattr(args, "checkpoint", None) is None:
         train_cfg, params = build_train_config(cfg), None
     else:
         train_cfg, params = None, load_checkpoint(args.checkpoint)
-    proto = cfg["protocol"]
-    protocol = dict(
-        ratios=proto["ratios"], protocol_seed=proto["seed"], bpcer_target=proto["bpcer_target"]
-    )
     split = None
     if with_split:
         split = protocol_split(
-            records, proto["ratios"], proto["seed"], cfg["train"]["seed"],
+            records, protocol["ratios"], protocol["protocol_seed"], cfg["train"]["seed"],
             attack=getattr(args, "attack", None),
         )
     out = Path(cfg["out_root"]) / args.name

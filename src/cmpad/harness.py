@@ -33,14 +33,14 @@ from .metrics import (
     write_score_file,
 )
 from .network import (
+    HEAD_BRANCHES,
     NetworkConfig,
     OptimizerConfig,
     ParameterSet,
     adam_step,
     backward,
-    forward,
+    forward_cached,
     init_network,
-    predict_score,
     save_checkpoint,
 )
 
@@ -188,21 +188,14 @@ def score_samples(
     heads: tuple[str, ...] = ("a", "b", "joint"),
 ) -> list[ScoreRecord]:
     """ScoreRecords for a sample group; heads not computed are NaN."""
-    cols = {h: np.full(len(group), np.nan) for h in ("a", "b", "joint")}
     net = params.config
-    if "joint" in heads:
-        out = forward(params, _stack(group, "a", net), _stack(group, "b", net))
-        cols["a"], cols["b"], cols["joint"] = out.p, out.q, out.r
-    else:
-        if "a" in heads:
-            cols["a"] = predict_score(params, x_a=_stack(group, "a", net), head="a")
-        if "b" in heads:
-            cols["b"] = predict_score(params, x_b=_stack(group, "b", net), head="b")
+    needed = {branch for head in heads for branch in HEAD_BRANCHES[head]}
+    x = {c: _stack(group, c, net) if c in needed else None for c in ("a", "b")}
+    out, _ = forward_cached(params, x["a"], x["b"], heads)
     return [
         ScoreRecord(
             sample_id=s.id, label=s.label, attack_type=s.attack_type,
-            score_p=float(cols["a"][i]), score_q=float(cols["b"][i]),
-            score_r=float(cols["joint"][i]),
+            score_p=float(out.p[i]), score_q=float(out.q[i]), score_r=float(out.r[i]),
         )
         for i, s in enumerate(group)
     ]
@@ -554,13 +547,13 @@ def emit_loss_curves(
     pointwise non-increasing in q.
     """
     p_grid = np.round(np.arange(0.01, 0.995, 0.01), 10)
-    ce = np.array([binary_ce(p).value for p in p_grid])
+    ce = binary_ce(p_grid).value
+    q_col = np.array(q_values, dtype=np.float64)[:, None]
     curves: dict[tuple[float, float], np.ndarray] = {}
     for gamma in gammas:
-        for q in q_values:
-            curves[(float(gamma), float(q))] = np.array(
-                [cmfl(p, q, 1.0, gamma).value for p in p_grid]
-            )
+        table = cmfl(p_grid, q_col, 1.0, gamma).value  # (len(q_values), len(p_grid))
+        for q, row in zip(q_values, table):
+            curves[(float(gamma), float(q))] = row
     if out_path is not None:
         header = ["p_t", "ce"] + [f"g{g:g}_q{q:g}" for (g, q) in curves]
         lines = ["\t".join(header)]

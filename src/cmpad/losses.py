@@ -1,10 +1,11 @@
 """Loss functions for two-stream binary classifiers with analytic gradients.
 
-Every loss here is a pure scalar function. Probabilities are clamped to
-[EPS, 1 - EPS] before any logarithm so all values and derivatives stay
-finite on the closed unit interval. Derivatives are returned alongside
-values so training code never has to re-derive them, and
-`finite_diff_check` verifies them numerically.
+Every loss here is an elementwise function of array arguments: a batch
+is an (N,) array and a single sample a scalar, treated as a 0-d array.
+Probabilities are clamped to [EPS, 1 - EPS] before any logarithm so all
+values and derivatives stay finite on the closed unit interval.
+Derivatives are returned alongside values so training code never has to
+re-derive them, and `finite_diff_check` verifies them numerically.
 
 Conventions:
   * labels: y = 0 attack, y = 1 bonafide
@@ -15,9 +16,10 @@ Conventions:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
+
+import numpy as np
 
 EPS = 1e-7
 
@@ -29,8 +31,8 @@ class NonDifferentiablePointError(ValueError):
     """Raised when a finite-difference probe would cross a clamp boundary."""
 
 
-def _clamp(p: float) -> float:
-    return min(max(p, EPS), 1.0 - EPS)
+def _clamp(p):
+    return np.minimum(np.maximum(p, EPS), 1.0 - EPS)
 
 
 @dataclass(frozen=True)
@@ -58,13 +60,14 @@ class LossParams:
         if not 0.0 <= self.mix_lambda <= 1.0:
             raise ValueError("mix_lambda must be in [0, 1]")
 
-    def alpha_for(self, y: int) -> float:
-        return self.alpha_bonafide if y == 1 else self.alpha_attack
+    def alpha_for(self, y):
+        """Per-sample class weight for labels y."""
+        return np.where(np.asarray(y) == 1, self.alpha_bonafide, self.alpha_attack)
 
 
 @dataclass(frozen=True)
 class LossValue:
-    """A loss value plus its partial derivatives.
+    """A loss value plus its partial derivatives, elementwise.
 
     The meaning of the slots follows the operation that produced it:
     single-argument losses populate d_p only; two-argument losses
@@ -72,32 +75,34 @@ class LossValue:
     derivatives w.r.t. the raw head probabilities.
     """
 
-    value: float
-    d_p: float = 0.0
-    d_q: float = 0.0
-    d_r: float = 0.0
+    value: float | np.ndarray
+    d_p: float | np.ndarray = 0.0
+    d_q: float | np.ndarray = 0.0
+    d_r: float | np.ndarray = 0.0
 
 
-def target_prob(p: float, y: int) -> float:
+def target_prob(p, y):
     """Probability assigned to the true class: p when y=1, 1-p when y=0."""
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y!r}")
-    return p if y == 1 else 1.0 - p
+    y = np.asarray(y)
+    bad = (y != 0) & (y != 1)
+    if bad.any():
+        raise ValueError(f"label must be 0 or 1, got {y[bad].tolist()[0]!r}")
+    return np.where(y == 1, p, 1.0 - p)
 
 
-def binary_ce(p_t: float) -> LossValue:
+def binary_ce(p_t) -> LossValue:
     """Cross-entropy -log(p_t) with clamped argument; d_p is d/dp_t."""
     c = _clamp(p_t)
-    return LossValue(value=-math.log(c), d_p=-1.0 / c)
+    return LossValue(value=-np.log(c), d_p=-1.0 / c)
 
 
-def alpha_balanced_ce(p_t: float, alpha_t: float) -> LossValue:
+def alpha_balanced_ce(p_t, alpha_t) -> LossValue:
     """Class-weighted cross-entropy -alpha_t * log(p_t)."""
     c = _clamp(p_t)
-    return LossValue(value=-alpha_t * math.log(c), d_p=-alpha_t / c)
+    return LossValue(value=-alpha_t * np.log(c), d_p=-alpha_t / c)
 
 
-def focal_loss(p_t: float, alpha_t: float, gamma: float) -> LossValue:
+def focal_loss(p_t, alpha_t, gamma: float) -> LossValue:
     """Cross-entropy damped by (1 - p_t)^gamma.
 
     gamma = 0 reduces exactly to alpha_balanced_ce.
@@ -105,41 +110,33 @@ def focal_loss(p_t: float, alpha_t: float, gamma: float) -> LossValue:
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     c = _clamp(p_t)
-    log_c = math.log(c)
+    log_c = np.log(c)
     one_minus = 1.0 - p_t
     mod = one_minus**gamma
     value = -alpha_t * mod * log_c
-    # d/dp_t of -a*(1-p)^g*log(p); the g*(1-p)^(g-1) term vanishes at g=0.
+    # d/dp_t of -a*(1-p)^g*log(p); the g*(1-p)^(g-1) term vanishes at g=0
+    # and is left out where 1 - p_t = 0.
     d = -alpha_t * mod / c
-    if gamma > 0 and one_minus > 0:
-        d += alpha_t * gamma * one_minus ** (gamma - 1.0) * log_c
+    if gamma > 0:
+        live = one_minus > 0
+        safe = np.where(live, one_minus, 1.0)
+        d = d + np.where(live, alpha_t * gamma * safe ** (gamma - 1.0) * log_c, 0.0)
     return LossValue(value=value, d_p=d)
 
 
-def cross_modal_weight(p_t: float, q_t: float) -> float:
+def cross_modal_weight(p_t, q_t):
     """Harmonic mean of both target probabilities, scaled by the other
     branch's: q_t * 2*p_t*q_t / (p_t + q_t). Zero at the degenerate corner
     (the limit value)."""
     s = p_t + q_t
-    if s < _WEIGHT_DENOM_FLOOR:
-        return 0.0
-    return q_t * (2.0 * p_t * q_t) / s
-
-
-def _cross_modal_weight_grads(p_t: float, q_t: float) -> tuple[float, float]:
-    """(dw/dp_t, dw/dq_t) for w = 2*p*q^2/(p+q)."""
-    s = p_t + q_t
-    if s < _WEIGHT_DENOM_FLOOR:
-        return 0.0, 0.0
-    dw_dp = 2.0 * q_t**3 / s**2
-    dw_dq = 2.0 * p_t * q_t * (2.0 * p_t + q_t) / s**2
-    return dw_dp, dw_dq
+    w = q_t * (2.0 * p_t * q_t) / np.maximum(s, _WEIGHT_DENOM_FLOOR)
+    return np.where(s >= _WEIGHT_DENOM_FLOOR, w, 0.0)
 
 
 def cmfl(
-    p_t: float,
-    q_t: float,
-    alpha_t: float = 1.0,
+    p_t,
+    q_t,
+    alpha_t=1.0,
     gamma: float = 3.0,
     detach_weight: bool = False,
 ) -> LossValue:
@@ -149,32 +146,38 @@ def cmfl(
     a sample the other branch already classifies confidently contributes
     less here. gamma = 0 or q_t = 0 reduce exactly to alpha_balanced_ce.
 
-    d_p / d_q differentiate through both arguments of w unless
-    detach_weight is set, in which case w is held constant.
+    d_p / d_q differentiate through both arguments of w = 2*p*q^2/(p+q)
+    unless detach_weight is set, in which case w is held constant.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     c = _clamp(p_t)
-    log_c = math.log(c)
+    log_c = np.log(c)
     w = cross_modal_weight(p_t, q_t)
-    one_minus_w = max(1.0 - w, 0.0)
+    one_minus_w = np.maximum(1.0 - w, 0.0)
     mod = one_minus_w**gamma
     value = -alpha_t * mod * log_c
 
     d_p = -alpha_t * mod / c
     d_q = 0.0
-    if gamma > 0 and one_minus_w > 0 and not detach_weight:
-        dw_dp, dw_dq = _cross_modal_weight_grads(p_t, q_t)
-        common = alpha_t * gamma * one_minus_w ** (gamma - 1.0) * log_c
-        d_p += common * dw_dp
-        d_q = common * dw_dq
+    if gamma > 0 and not detach_weight:
+        # the weight term is left out where w saturates at 1 and at the
+        # degenerate corner, where w is held at its limit 0
+        s = p_t + q_t
+        live = (one_minus_w > 0) & (s >= _WEIGHT_DENOM_FLOOR)
+        s = np.where(live, s, 1.0)
+        common = np.where(
+            live,
+            alpha_t * gamma * np.where(live, one_minus_w, 1.0) ** (gamma - 1.0) * log_c,
+            0.0,
+        )
+        d_p = d_p + common * (2.0 * q_t**3 / s**2)
+        d_q = common * (2.0 * p_t * q_t * (2.0 * p_t + q_t) / s**2)
     return LossValue(value=value, d_p=d_p, d_q=d_q)
 
 
-def combined_loss(
-    p: float, q: float, r: float, y: int, params: LossParams
-) -> LossValue:
-    """Full objective for one sample:
+def combined_loss(p, q, r, y, params: LossParams) -> LossValue:
+    """Full objective per sample:
 
         (1 - lambda) * CE(r_t) + lambda * (CMFL(p_t, q_t) + CMFL(q_t, p_t))
 
@@ -187,7 +190,7 @@ def combined_loss(
     q_t = target_prob(q, y)
     r_t = target_prob(r, y)
     # d(target)/d(raw): +1 for bonafide, -1 for attack.
-    sign = 1.0 if y == 1 else -1.0
+    sign = np.where(np.asarray(y) == 1, 1.0, -1.0)
 
     joint = binary_ce(r_t)
     branch_p = cmfl(p_t, q_t, alpha_t, params.gamma, params.detach_weight)
@@ -198,24 +201,6 @@ def combined_loss(
     d_q = lam * (branch_p.d_q + branch_q.d_p) * sign
     d_r = (1.0 - lam) * joint.d_p * sign
     return LossValue(value=value, d_p=d_p, d_q=d_q, d_r=d_r)
-
-
-def batch_loss(
-    samples: Sequence[tuple[float, float, float, int]], params: LossParams
-) -> LossValue:
-    """Arithmetic mean of combined_loss over (p, q, r, y) tuples; gradient
-    slots hold the means of the per-sample gradients."""
-    if len(samples) == 0:
-        raise ValueError("empty batch")
-    n = float(len(samples))
-    total = d_p = d_q = d_r = 0.0
-    for p, q, r, y in samples:
-        lv = combined_loss(p, q, r, y, params)
-        total += lv.value
-        d_p += lv.d_p
-        d_q += lv.d_q
-        d_r += lv.d_r
-    return LossValue(value=total / n, d_p=d_p / n, d_q=d_q / n, d_r=d_r / n)
 
 
 @dataclass(frozen=True)

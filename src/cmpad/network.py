@@ -283,29 +283,55 @@ def _as_batch(x: np.ndarray, channels: int, cfg: NetworkConfig, what: str) -> np
     return arr
 
 
-def forward(params: ParameterSet, x_a: np.ndarray, x_b: np.ndarray) -> ForwardOutput:
-    out, _ = forward_cached(params, x_a, x_b)
-    return out
+# Branches each head reads; a forward pass runs only the ones its heads need.
+HEAD_BRANCHES = {"a": ("a",), "b": ("b",), "joint": ("a", "b")}
 
 
-def forward_cached(params: ParameterSet, x_a: np.ndarray, x_b: np.ndarray):
+def _forward(params: ParameterSet, x_a, x_b, heads):
+    """(embeddings, probabilities, caches), keyed by branch or head, for the
+    requested heads and the branches they read. predict_score calls this
+    directly, so a profile or trace of forward_cached does not count
+    predict_score's work again."""
     cfg = params.config
-    xa = _as_batch(x_a, cfg.channels_a, cfg, "channel-A input")
-    xb = _as_batch(x_b, cfg.channels_b, cfg, "channel-B input")
-    if xa.shape[0] != xb.shape[0]:
+    if not heads or not set(heads) <= HEAD_BRANCHES.keys():
+        raise ValueError(f"unknown head in {tuple(heads)!r}")
+    needed = {branch for head in heads for branch in HEAD_BRANCHES[head]}
+    inputs = {}
+    for branch, x, depth in (("a", x_a, cfg.channels_a), ("b", x_b, cfg.channels_b)):
+        if branch in needed:
+            if x is None:
+                raise ValueError(f"channel unavailable for head: need channel {branch.upper()}")
+            inputs[branch] = _as_batch(x, depth, cfg, f"channel-{branch.upper()} input")
+    if len({x.shape[0] for x in inputs.values()}) > 1:
         raise ValueError("channel batches disagree in length")
-    e_p, cache_a = _branch_forward(params, "a", xa)
-    e_q, cache_b = _branch_forward(params, "b", xb)
-    e_r = np.concatenate([e_p, e_q], axis=1)
-    out = ForwardOutput(
-        e_p=e_p,
-        e_q=e_q,
-        e_r=e_r,
-        p=_head_forward(params, "a", e_p),
-        q=_head_forward(params, "b", e_q),
-        r=_head_forward(params, "joint", e_r),
-    )
-    return out, (cache_a, cache_b)
+    emb, caches = {}, {}
+    for branch, x in inputs.items():
+        emb[branch], caches[branch] = _branch_forward(params, branch, x)
+    if "joint" in heads:
+        emb["joint"] = np.concatenate([emb["a"], emb["b"]], axis=1)
+    return emb, {head: _head_forward(params, head, emb[head]) for head in heads}, caches
+
+
+def forward_cached(
+    params: ParameterSet,
+    x_a: np.ndarray | None,
+    x_b: np.ndarray | None,
+    heads: Sequence[str] = ("a", "b", "joint"),
+) -> tuple[ForwardOutput, tuple]:
+    """Head probabilities for a batch, plus the per-branch caches that
+    `backward_from_head_grads` needs.
+
+    Only the branches the requested heads read are run, so a channel no
+    head needs may be None; heads not requested, and embeddings and
+    caches of branches not run, are NaN (None for caches).
+    """
+    emb, probs, caches = _forward(params, x_a, x_b, heads)
+    n = len(next(iter(probs.values())))
+    nan = np.full((n, params.config.embedding_dim), np.nan)
+    e_p, e_q = emb.get("a", nan), emb.get("b", nan)
+    p, q, r = (probs.get(head, np.full(n, np.nan)) for head in ("a", "b", "joint"))
+    out = ForwardOutput(e_p=e_p, e_q=e_q, e_r=np.concatenate([e_p, e_q], axis=1), p=p, q=q, r=r)
+    return out, (caches.get("a"), caches.get("b"))
 
 
 def backward_from_head_grads(
@@ -353,27 +379,16 @@ def backward(
     cross-modal term also routes gradient into the other branch through
     the damping weight unless loss_params.detach_weight is set.
     """
-    output, caches = forward_cached(params, x_a, x_b)
     ys = np.asarray(labels, dtype=np.int64)
-    if output.p.shape[0] != ys.shape[0]:
-        raise ValueError("labels disagree with batch length")
     if ys.shape[0] == 0:
         raise ValueError("empty batch")
-    n = ys.shape[0]
-    d_p = np.empty(n)
-    d_q = np.empty(n)
-    d_r = np.empty(n)
-    total = 0.0
-    for i in range(n):
-        lv = combined_loss(
-            float(output.p[i]), float(output.q[i]), float(output.r[i]),
-            int(ys[i]), loss_params,
-        )
-        total += lv.value
-        d_p[i], d_q[i], d_r[i] = lv.d_p, lv.d_q, lv.d_r
-    grads = backward_from_head_grads(params, output, caches, d_p, d_q, d_r)
+    output, caches = forward_cached(params, x_a, x_b)
+    if output.p.shape[0] != ys.shape[0]:
+        raise ValueError("labels disagree with batch length")
+    lv = combined_loss(output.p, output.q, output.r, ys, loss_params)
+    grads = backward_from_head_grads(params, output, caches, lv.d_p, lv.d_q, lv.d_r)
     batch = LossValue(
-        value=total / n, d_p=d_p.mean(), d_q=d_q.mean(), d_r=d_r.mean()
+        value=lv.value.mean(), d_p=lv.d_p.mean(), d_q=lv.d_q.mean(), d_r=lv.d_r.mean()
     )
     return grads, batch, output
 
@@ -413,30 +428,8 @@ def predict_score(
     head='a' touches only channel A and branch-A/head-A parameters, so
     it works with channel B absent (and vice versa); 'joint' needs both.
     """
-    cfg = params.config
-    if head not in ("a", "b", "joint"):
-        raise ValueError(f"unknown head {head!r}")
-    needs = {"a": ("a",), "b": ("b",), "joint": ("a", "b")}[head]
-    if "a" in needs and x_a is None:
-        raise ValueError("channel unavailable for head: need channel A")
-    if "b" in needs and x_b is None:
-        raise ValueError("channel unavailable for head: need channel B")
-
-    single = False
-    emb = {}
-    if "a" in needs:
-        xa = _as_batch(x_a, cfg.channels_a, cfg, "channel-A input")
-        single = single or np.asarray(x_a).ndim == 3
-        emb["a"], _ = _branch_forward(params, "a", xa)
-    if "b" in needs:
-        xb = _as_batch(x_b, cfg.channels_b, cfg, "channel-B input")
-        single = single or np.asarray(x_b).ndim == 3
-        emb["b"], _ = _branch_forward(params, "b", xb)
-
-    if head == "joint":
-        scores = _head_forward(params, "joint", np.concatenate([emb["a"], emb["b"]], axis=1))
-    else:
-        scores = _head_forward(params, head, emb[head])
+    scores = _forward(params, x_a, x_b, (head,))[1][head]
+    single = any(np.ndim(x_a if b == "a" else x_b) == 3 for b in HEAD_BRANCHES[head])
     return float(scores[0]) if single and scores.shape[0] == 1 else scores
 
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cmpad
 from cmpad import harness
 from cmpad.cli import DEFAULT_CONFIG, load_effective_config, main
 from cmpad.errors import ConfigError
@@ -66,6 +70,19 @@ class TestConfig:
         bad.write_text(json.dumps({"generator": {"wavelength": 3}}))
         assert main(["gen-data", str(tmp_path / "x"), "--config", str(bad)]) == 2
         assert "generator.wavelength" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("protocol, key", [
+        ({"ratios": [0.5, 0.5, 0.5]}, "protocol.ratios"),
+        ({"bpcer_target": 1.5}, "protocol.bpcer_target"),
+    ])
+    def test_protocol_error_exit_code(self, tmp_path, dataset, capsys, protocol, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**TINY, "protocol": protocol}))
+        out = tmp_path / "runs"
+        assert main(["loo", "--data", str(dataset), "--config", str(bad),
+                     "--out", str(out), "--name", "bad"]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()  # rejected before the run directory is made
 
     def test_defaults_documented_complete(self):
         cfg = load_effective_config(None, {})
@@ -255,6 +272,22 @@ class TestRunCommands:
         monkeypatch.setattr(harness, "threshold_at_bpcer", spy)
         assert main(["single-channel", *common, "--name", "sc", "--seeds", "0"]) == 0
         assert targets == [0.2] * 4  # 2 losses x 2 heads
+
+    def test_train_bytes_independent_of_blas_threads(self, tmp_path, tiny_config, dataset):
+        src = Path(cmpad.__file__).resolve().parents[1]
+        runs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "cmpad.cli", "train", "--data", str(dataset),
+                 "--config", str(tiny_config), "--out", str(out), "--name", "tr"],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            runs[threads] = [(out / "tr" / f).read_bytes()
+                             for f in ("checkpoint.bin", "losslog.json")]
+        assert runs["1"] == runs["2"]
 
     def test_missing_dataset_is_data_error(self, tmp_path, tiny_config, capsys):
         code = main(["loo", "--data", str(tmp_path / "nope"),

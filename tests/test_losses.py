@@ -12,7 +12,6 @@ from cmpad.losses import (
     LossValue,
     NonDifferentiablePointError,
     alpha_balanced_ce,
-    batch_loss,
     binary_ce,
     cmfl,
     combined_loss,
@@ -228,28 +227,38 @@ class TestCombinedLoss:
         assert lv.d_p > 0 and lv.d_q > 0 and lv.d_r > 0
 
 
-class TestBatchLoss:
-    def test_single_sample_equals_combined(self):
-        params = LossParams()
-        single = batch_loss([(0.5, 0.9, 0.8, 1)], params)
-        ref = combined_loss(0.5, 0.9, 0.8, 1, params)
-        assert single == ref
+class TestBatchedLoss:
+    """The same functions applied elementwise to (N,) batches."""
 
-    def test_mean_idempotence(self):
-        params = LossParams()
-        s = (0.5, 0.9, 0.8, 1)
-        assert batch_loss([s, s], params).value == batch_loss([s], params).value
+    def test_mixed_label_batch_matches_oracle(self):
+        rng = np.random.default_rng(7)
+        p, q, r = rng.uniform(0.01, 0.99, size=(3, 64))
+        p[:3], q[:3] = (0.0, 1.0, 1e-9), (0.0, 1.0, 0.5)  # corner, saturated w, clamp
+        ys = np.arange(64) % 2
+        params = LossParams(alpha_attack=1.7)
+        lv = combined_loss(p, q, r, ys, params)
+        assert lv.value.shape == lv.d_p.shape == lv.d_q.shape == lv.d_r.shape == (64,)
+        for i in range(64):
+            ref = oracle_combined(p[i], q[i], r[i], ys[i], alpha=1.7 if ys[i] == 0 else 1.0)
+            assert abs(lv.value[i] - ref) <= 1e-12
+            one = combined_loss(float(p[i]), float(q[i]), float(r[i]), int(ys[i]), params)
+            for slot in ("d_p", "d_q", "d_r"):
+                assert abs(getattr(lv, slot)[i] - getattr(one, slot)) <= 1e-12
 
-    def test_two_sample_mean(self):
-        params = LossParams()
-        a = combined_loss(0.5, 0.9, 0.8, 1, params).value
-        b = combined_loss(0.2, 0.3, 0.4, 0, params).value
-        got = batch_loss([(0.5, 0.9, 0.8, 1), (0.2, 0.3, 0.4, 0)], params).value
-        assert got == pytest.approx((a + b) / 2, abs=1e-15)
+    def test_bad_label_inside_batch_rejected(self):
+        half = np.full(3, 0.5)
+        with pytest.raises(ValueError, match="label must be 0 or 1, got 2"):
+            combined_loss(half, half, half, np.array([1, 2, 0]), LossParams())
 
-    def test_empty_batch(self):
+    def test_backward_rejects_empty_batch(self):
+        from cmpad.network import NetworkConfig, backward, init_network
+
+        cfg = NetworkConfig(input_height=8, input_width=8, blocks_per_branch=1,
+                            base_filters=2, embedding_dim=2)
+        empty_a = np.zeros((0, cfg.channels_a, 8, 8))
+        empty_b = np.zeros((0, cfg.channels_b, 8, 8))
         with pytest.raises(ValueError, match="empty batch"):
-            batch_loss([], LossParams())
+            backward(init_network(cfg), empty_a, empty_b, [], LossParams())
 
 
 class TestFiniteDiffCheck:

@@ -15,7 +15,6 @@ from cmpad.network import (
     adam_step,
     backward,
     backward_from_head_grads,
-    forward,
     forward_cached,
     init_network,
     load_checkpoint,
@@ -75,7 +74,7 @@ class TestForward:
     def test_probabilities_in_range(self):
         ps = init_network(CFG)
         xa, xb, _ = rand_batch(6)
-        out = forward(ps, xa, xb)
+        out, _ = forward_cached(ps, xa, xb)
         for arr in (out.p, out.q, out.r):
             assert np.all(arr > 0) and np.all(arr < 1)
 
@@ -85,7 +84,7 @@ class TestForward:
             ps.params[f"head_{head}/W"][:] = 0
             ps.params[f"head_{head}/b"][...] = 0
         xa, xb, _ = rand_batch(3)
-        out = forward(ps, xa, xb)
+        out, _ = forward_cached(ps, xa, xb)
         np.testing.assert_array_equal(out.p, 0.5)
         np.testing.assert_array_equal(out.q, 0.5)
         np.testing.assert_array_equal(out.r, 0.5)
@@ -93,7 +92,7 @@ class TestForward:
     def test_joint_embedding_is_concat(self):
         ps = init_network(CFG)
         xa, xb, _ = rand_batch(3)
-        out = forward(ps, xa, xb)
+        out, _ = forward_cached(ps, xa, xb)
         d = CFG.embedding_dim
         np.testing.assert_array_equal(out.e_r[:, :d], out.e_p)
         np.testing.assert_array_equal(out.e_r[:, d:], out.e_q)
@@ -102,7 +101,22 @@ class TestForward:
         ps = init_network(CFG)
         xa, xb, _ = rand_batch(2)
         with pytest.raises(ValueError, match="incompatible"):
-            forward(ps, xa[:, :, :8, :], xb)
+            forward_cached(ps, xa[:, :, :8, :], xb)
+
+    def test_requested_heads_only(self):
+        ps = init_network(CFG)
+        xa, xb, _ = rand_batch(3)
+        full, _ = forward_cached(ps, xa, xb)
+        out, (cache_a, cache_b) = forward_cached(ps, xa, None, heads=("a",))
+        np.testing.assert_array_equal(out.p, full.p)
+        np.testing.assert_array_equal(out.e_p, full.e_p)
+        assert np.isnan(out.q).all() and np.isnan(out.r).all() and np.isnan(out.e_q).all()
+        assert cache_a is not None and cache_b is None
+        out, _ = forward_cached(ps, xa, xb, heads=("joint",))
+        np.testing.assert_array_equal(out.r, full.r)
+        assert np.isnan(out.p).all() and np.isnan(out.q).all()
+        with pytest.raises(ValueError, match="unknown head"):
+            forward_cached(ps, xa, xb, heads=("c",))
 
     def test_saturating_logits_stay_inside_unit_interval(self):
         ps = init_network(CFG)
@@ -110,7 +124,7 @@ class TestForward:
         xa, xb, _ = rand_batch(2)
         for bias in (500.0, -500.0):
             ps.params["head_a/b"][...] = bias
-            out = forward(ps, xa, xb)
+            out, _ = forward_cached(ps, xa, xb)
             assert np.all(out.p > 0) and np.all(out.p < 1)
 
 
@@ -236,7 +250,7 @@ class TestPredictScore:
     def test_joint_equals_forward_r(self):
         ps = init_network(CFG)
         xa, xb, _ = rand_batch(3)
-        out = forward(ps, xa, xb)
+        out, _ = forward_cached(ps, xa, xb)
         np.testing.assert_array_equal(predict_score(ps, xa, xb, head="joint"), out.r)
 
     def test_head_a_works_without_channel_b(self):
@@ -295,9 +309,9 @@ class TestCheckpoint:
     def test_forward_identical_after_roundtrip(self, tmp_path):
         ps = init_network(CFG)
         xa, xb, _ = rand_batch(4)
-        before = forward(ps, xa, xb)
+        before, _ = forward_cached(ps, xa, xb)
         save_checkpoint(ps, tmp_path / "m.bin")
-        after = forward(load_checkpoint(tmp_path / "m.bin"), xa, xb)
+        after, _ = forward_cached(load_checkpoint(tmp_path / "m.bin"), xa, xb)
         np.testing.assert_array_equal(before.r, after.r)
         np.testing.assert_array_equal(before.p, after.p)
 
