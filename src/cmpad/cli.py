@@ -87,17 +87,18 @@ DEFAULT_CONFIG: dict = {
 
 
 def _merge_config(base: dict, override: dict, path: str = "") -> dict:
+    """`override` laid over `base`; every key must exist in `base` and
+    every value must have the base value's JSON type (an int is a valid
+    float, a bool is not a number)."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         dotted = f"{path}{key}"
         if key not in base:
             raise ConfigError(f"unknown config key: {dotted}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {dotted} must be a mapping")
-            out[key] = _merge_config(base[key], value, f"{dotted}.")
-        else:
-            out[key] = value
+        kind = type(base[key])
+        if type(value) not in ((int, float) if kind is float else (kind,)):
+            raise ConfigError(f"config key {dotted} must be {kind.__name__}, got {value!r}")
+        out[key] = _merge_config(base[key], value, f"{dotted}.") if kind is dict else value
     return out
 
 
@@ -109,28 +110,19 @@ def load_effective_config(config_path: str | None, overrides: dict) -> dict:
             raise ConfigError(f"config file not found: {path}")
         try:
             file_cfg = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad UTF-8 or JSON
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
         cfg = _merge_config(cfg, file_cfg)
     cfg = _merge_config(cfg, overrides)
     return cfg
 
 
 def build_generator_spec(cfg: dict) -> GeneratorSpec:
-    g = cfg["generator"]
     try:
-        return GeneratorSpec(
-            image_size=g["image_size"],
-            n_identities=g["n_identities"],
-            samples_per_identity=g["samples_per_identity"],
-            attack_types=tuple(g["attack_types"]),
-            attack_strength=g["attack_strength"],
-            noise_sigma=g["noise_sigma"],
-            channels_a=g["channels_a"],
-            channels_b=g["channels_b"],
-            seed=g["seed"],
-        )
-    except ValueError as exc:
+        return GeneratorSpec(**cfg["generator"])
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -150,17 +142,17 @@ def build_protocol(cfg: dict) -> dict:
     """The protocol section as the experiment designs' keywords.
 
     `ratios` must be three non-negative fractions summing to 1 and
-    `bpcer_target` a fraction in [0, 1].
+    `bpcer_target` a fraction in [0, 1]; `_merge_config` has already
+    checked the type of every key (so `seed` is an int).
     """
     proto = cfg["protocol"]
     ratios, target = proto["ratios"], proto["bpcer_target"]
-    number = lambda x: isinstance(x, (int, float)) and not isinstance(x, bool)
-    fractions = isinstance(ratios, list) and all(number(r) and r >= 0 for r in ratios)
+    fractions = all(type(r) in (int, float) and r >= 0 for r in ratios)
     if not (fractions and len(ratios) == 3 and abs(sum(ratios) - 1.0) <= 1e-9):
         raise ConfigError(
             f"protocol.ratios must be three fractions >= 0 summing to 1, got {ratios!r}"
         )
-    if not (number(target) and 0.0 <= target <= 1.0):
+    if not 0.0 <= target <= 1.0:
         raise ConfigError(f"protocol.bpcer_target must be in [0, 1], got {target!r}")
     return dict(ratios=ratios, protocol_seed=proto["seed"], bpcer_target=target)
 
@@ -397,18 +389,14 @@ def _add_common(p: argparse.ArgumentParser, needs_data=True, trains=True) -> Non
         p.add_argument("--epochs", type=int, help="training epochs override")
 
 
-def _comma_floats(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad float list: {text!r}") from exc
-
-
-def _comma_ints(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad int list: {text!r}") from exc
+def _comma_list(kind: type):
+    """An argparse type that reads a comma-separated list of `kind`."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(x) for x in text.split(",") if x != ""]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {kind.__name__} list: {text!r}") from exc
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-gamma", help="focusing-exponent ablation")
     _add_common(p)
     p.add_argument(
-        "--gammas", type=_comma_floats, default=[0.0, 1.0, 2.0, 3.0, 4.0],
+        "--gammas", type=_comma_list(float), default=[0.0, 1.0, 2.0, 3.0, 4.0],
         help="comma-separated gamma grid (default 0,1,2,3,4)",
     )
     p.set_defaults(func=cmd_sweep_gamma)
@@ -450,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("single-channel", help="single-channel deployment study")
     _add_common(p)
     p.add_argument(
-        "--seeds", type=_comma_ints, default=[0, 1, 2, 3, 4],
+        "--seeds", type=_comma_list(int), default=[0, 1, 2, 3, 4],
         help="comma-separated training seeds (default 0,1,2,3,4)",
     )
     p.set_defaults(func=cmd_single_channel)

@@ -104,23 +104,20 @@ def _read_netpbm(path: Path) -> np.ndarray:
     pos += 1  # single whitespace after maxval
     try:
         magic, w, h, maxval = fields[0], int(fields[1]), int(fields[2]), int(fields[3])
+        if min(w, h) < 1:
+            raise ValueError("raster size must be >= 1")
     except ValueError as exc:
         raise DataError(f"{path.name}: bad netpbm header {fields}") from exc
     if maxval != 255:
         raise DataError(f"{path.name}: only maxval 255 rasters supported")
-    if magic == b"P6":
-        count = w * h * 3
-        data = np.frombuffer(raw[pos : pos + count], dtype=np.uint8)
-        if data.size != count:
-            raise DataError(f"{path.name}: truncated raster")
-        return data.reshape(h, w, 3).transpose(2, 0, 1) / 255.0
-    if magic == b"P5":
-        count = w * h
-        data = np.frombuffer(raw[pos : pos + count], dtype=np.uint8)
-        if data.size != count:
-            raise DataError(f"{path.name}: truncated raster")
-        return data.reshape(1, h, w) / 255.0
-    raise DataError(f"{path.name}: unsupported raster magic {magic!r}")
+    channels = {b"P6": 3, b"P5": 1}.get(magic)
+    if channels is None:
+        raise DataError(f"{path.name}: unsupported raster magic {magic!r}")
+    count = w * h * channels
+    data = np.frombuffer(raw[pos : pos + count], dtype=np.uint8)
+    if data.size != count:
+        raise DataError(f"{path.name}: truncated raster")
+    return data.reshape(h, w, channels).transpose(2, 0, 1) / 255.0
 
 
 def _read_d16(path: Path) -> np.ndarray:
@@ -129,15 +126,16 @@ def _read_d16(path: Path) -> np.ndarray:
         header_end = raw.index(b"\n")
         magic, w, h = raw[:header_end].split()
         w, h = int(w), int(h)
+        if min(w, h) < 1:
+            raise ValueError("raster size must be >= 1")
     except ValueError as exc:
         raise DataError(f"{path.name}: bad D16L header") from exc
     if magic != b"D16L":
         raise DataError(f"{path.name}: unsupported raster magic {magic!r}")
     payload = raw[header_end + 1 :]
-    count = w * h
-    data = np.frombuffer(payload[: count * 2], dtype="<u2")
-    if data.size != count:
+    if len(payload) < 2 * w * h:
         raise DataError(f"{path.name}: truncated raster")
+    data = np.frombuffer(payload[: 2 * w * h], dtype="<u2")
     return data.reshape(h, w).astype(np.int64)
 
 
@@ -168,7 +166,10 @@ def load_manifest(root: str | Path) -> list[ManifestRecord]:
     path = root / MANIFEST_NAME
     if not path.is_file():
         raise DataError(f"missing manifest: {path}")
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines or lines[0].split("\t") != MANIFEST_COLUMNS:
         raise DataError(f"bad manifest header in {path}")
     records = []
@@ -177,6 +178,8 @@ def load_manifest(root: str | Path) -> list[ManifestRecord]:
         parts = line.split("\t")
         if len(parts) != len(MANIFEST_COLUMNS):
             raise DataError(f"{path}:{lineno}: expected {len(MANIFEST_COLUMNS)} columns")
+        if parts[3] not in ("0", "1"):
+            raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {parts[3]!r}")
         rec = ManifestRecord(
             id=parts[0], path_a=parts[1], path_b=parts[2], label=int(parts[3]),
             attack_type=parts[4], identity=parts[5], fold_hint=parts[6],

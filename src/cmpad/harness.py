@@ -283,28 +283,26 @@ def run_leg(
     split: ProtocolSplit,
     pool: dict[str, MultiModalSample],
     cfg: TrainConfig,
-    heads: Sequence[str] = ("joint",),
+    head: str = "joint",
     threshold_rule: str = "bpcer",
     bpcer_target: float = 0.01,
     out_dir: str | Path | None = None,
-) -> tuple[ParameterSet, dict[str, tuple]]:
-    """Train on a split from `protocol_split`, then `evaluate` each head:
-    returns the parameters and each head's (report, dev, eval records).
+) -> tuple[ParameterSet, MetricsReport, list[ScoreRecord], list[ScoreRecord]]:
+    """Train on a split from `protocol_split`, then `evaluate` `head` once:
+    returns the parameters, the report and the dev and eval records.
 
-    With `out_dir` the score files, report and checkpoint go there; the
-    report is named after the split, so a leg that writes has one head.
+    The records carry every head the loaded channels allow, so another
+    head can be thresholded from them without scoring again. With
+    `out_dir` the score files, report and checkpoint go there.
     """
     params, _ = train(split, pool, cfg)
-    evaluations = {
-        head: evaluate(
-            params, split, pool, head=head, threshold_rule=threshold_rule,
-            bpcer_target=bpcer_target, out_dir=out_dir,
-        )
-        for head in heads
-    }
+    report, dev_records, eval_records = evaluate(
+        params, split, pool, head=head, threshold_rule=threshold_rule,
+        bpcer_target=bpcer_target, out_dir=out_dir,
+    )
     if out_dir is not None:
         save_checkpoint(params, Path(out_dir) / "checkpoint.bin")
-    return params, evaluations
+    return params, report, dev_records, eval_records
 
 
 def run_loo(
@@ -327,10 +325,10 @@ def run_loo(
     for attack in attacks:
         split = protocol_split(records, ratios, protocol_seed, cfg.seed, attack=attack)
         leg_dir = Path(out_dir) / split.name if out_dir is not None else None
-        _, evaluations = run_leg(
-            split, pool, cfg, (head,), bpcer_target=bpcer_target, out_dir=leg_dir
+        _, report, _, _ = run_leg(
+            split, pool, cfg, head, bpcer_target=bpcer_target, out_dir=leg_dir
         )
-        rows.append(ProtocolOutcome(split.name, attack, evaluations[head][0]))
+        rows.append(ProtocolOutcome(split.name, attack, report))
     acers = np.array([r.report.acer for r in rows])
     result = ExperimentResult(
         rows=tuple(rows),
@@ -405,8 +403,8 @@ def run_single_channel_study(
 ) -> dict:
     """2x2 design: {BCE(gamma=0), cross-modal focal(gamma)} x {head a, b}.
 
-    Trains each loss variant once per seed on the grandtest protocol and
-    evaluates each head separately with its own dev threshold. Reports
+    Trains and scores each loss variant once per seed on the grandtest
+    protocol, then thresholds each head on dev separately. Reports
     per-seed ACERs and the across-seed median per cell.
     """
     split = protocol_split(records, ratios, protocol_seed, cfg.seed)
@@ -417,14 +415,13 @@ def run_single_channel_study(
     }
     for seed in seeds:
         for variant, gamma in variants.items():
-            run_cfg = replace(
-                cfg, seed=seed, loss=replace(cfg.loss, gamma=gamma)
+            run_cfg = replace(cfg, seed=seed, loss=replace(cfg.loss, gamma=gamma))
+            _, report_a, dev, eval_ = run_leg(
+                split, pool, run_cfg, "a", bpcer_target=bpcer_target
             )
-            _, evaluations = run_leg(
-                split, pool, run_cfg, ("a", "b"), bpcer_target=bpcer_target
-            )
-            for head in ("a", "b"):
-                per_seed[f"{variant}_head_{head}"].append(evaluations[head][0].acer)
+            tau_b = threshold_at_bpcer(dev, target=bpcer_target, head="b")
+            per_seed[f"{variant}_head_a"].append(report_a.acer)
+            per_seed[f"{variant}_head_b"].append(apcer_bpcer_acer(eval_, tau_b, head="b").acer)
     study = {
         "per_seed": per_seed,
         "median": {cell: float(np.median(accs)) for cell, accs in per_seed.items()},
@@ -463,8 +460,9 @@ def run_cross_dataset(
     src_split = protocol_split(src_records, ratios, protocol_seed, cfg.seed)
     tgt_split = protocol_split(tgt_records, ratios, protocol_seed, cfg.seed)
     tgt_pool = by_id(tgt_samples)
-    params, evaluations = run_leg(src_split, by_id(src_samples), cfg, threshold_rule="eer")
-    intra, dev_records, intra_records = evaluations["joint"]
+    params, intra, dev_records, intra_records = run_leg(
+        src_split, by_id(src_samples), cfg, threshold_rule="eer"
+    )
     tau = intra.threshold
     cross_records = score_samples(params, [tgt_pool[i] for i in tgt_split.eval])
     cross = apcer_bpcer_acer(cross_records, tau, head="joint", threshold_rule="EER")

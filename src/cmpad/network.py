@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
+import sys
 from dataclasses import dataclass, asdict, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -45,14 +47,13 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.blocks_per_branch < 1 or self.embedding_dim < 1:
-            raise ValueError("incompatible geometry: blocks and embedding must be >= 1")
-        div = 2**self.blocks_per_branch
-        if self.input_height % div or self.input_width % div:
-            raise ValueError(
-                "incompatible geometry: input dims must be divisible by "
-                f"2^blocks_per_branch = {div}"
-            )
+        blocks, dims = self.blocks_per_branch, (self.input_height, self.input_width)
+        sizes = (self.channels_a, self.channels_b, self.base_filters, self.embedding_dim)
+        if min(blocks, *sizes, *dims) < 1:
+            raise ValueError("incompatible geometry: sizes and blocks must be >= 1")
+        # shifts rather than 2**blocks, which a corrupt checkpoint could make huge
+        if any(dim >> blocks << blocks != dim for dim in dims):
+            raise ValueError(f"incompatible geometry: input dims not divisible by 2^{blocks}")
 
 
 @dataclass(frozen=True)
@@ -443,7 +444,7 @@ _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
 
 def _read_exact(buf: io.BufferedReader, n: int) -> bytes:
-    data = buf.read(n)
+    data = buf.read(min(n, sys.maxsize))  # a corrupt size may not fit an index
     if len(data) != n:
         raise TruncatedCheckpoint(f"expected {n} bytes, got {len(data)}")
     return data
@@ -475,9 +476,12 @@ def _read_array(buf: io.BufferedReader) -> tuple[str, np.ndarray]:
     shape = tuple(
         struct.unpack("<I", _read_exact(buf, 4))[0] for _ in range(ndim)
     )
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    count = math.prod(shape)  # a Python int: no int64 wrap-around on a corrupt shape
     data = _read_exact(buf, count * dtype.itemsize)
-    return name, np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+    try:
+        return name, np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+    except ValueError as exc:  # more dims, or a larger size, than numpy allows
+        raise BadCheckpointFormat(f"bad checkpoint format: {name} {exc}") from exc
 
 
 def save_checkpoint(
@@ -522,8 +526,11 @@ def load_checkpoint(path: str | Path) -> ParameterSet:
             )
         (cfg_len,) = struct.unpack("<I", _read_exact(buf, 4))
         try:
-            config = NetworkConfig(**json.loads(_read_exact(buf, cfg_len).decode("utf-8")))
-        except (TypeError, ValueError) as exc:  # bad UTF-8 or JSON, unknown key, geometry
+            fields = json.loads(_read_exact(buf, cfg_len).decode("utf-8"))
+            if not isinstance(fields, dict) or any(type(v) is not int for v in fields.values()):
+                raise TypeError("not a mapping of integers")
+            config = NetworkConfig(**fields)
+        except (TypeError, ValueError) as exc:  # bad UTF-8, JSON, type or key; geometry
             raise BadCheckpointFormat(f"bad checkpoint format: config {exc}") from exc
         (step,) = struct.unpack("<Q", _read_exact(buf, 8))
         (n_records,) = struct.unpack("<I", _read_exact(buf, 4))

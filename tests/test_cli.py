@@ -84,9 +84,36 @@ class TestConfig:
         assert key in capsys.readouterr().err
         assert not out.exists()  # rejected before the run directory is made
 
+    @pytest.mark.parametrize("bad_cfg, key", [
+        ({"generator": {"n_identities": "x"}}, "generator.n_identities"),
+        ({"generator": {"attack_types": 5}}, "generator.attack_types"),
+        ({"protocol": {"seed": "x"}}, "protocol.seed"),
+        ({"train": {"epochs": True}}, "train.epochs"),  # a bool is not a number
+    ])
+    def test_wrong_type_exit_code(self, tmp_path, dataset, capsys, bad_cfg, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**TINY, **bad_cfg}))
+        out = tmp_path / "runs"
+        assert main(["gen-data", str(out / "ds"), "--config", str(bad)]) == 2
+        assert main(["loo", "--data", str(dataset), "--config", str(bad),
+                     "--out", str(out), "--name", "bad"]) == 2
+        assert capsys.readouterr().err.count(key) == 2
+        assert not out.exists()  # rejected before any output directory is made
+
+    @pytest.mark.parametrize("raw", [b"[1, 2]", b'"x"', b'{"train": {}}\xff'])
+    def test_config_file_not_an_object_or_not_utf8(self, tmp_path, capsys, raw):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        assert main(["gen-data", str(tmp_path / "ds"), "--config", str(bad)]) == 2
+        assert str(bad) in capsys.readouterr().err
+
     def test_defaults_documented_complete(self):
         cfg = load_effective_config(None, {})
         assert cfg == DEFAULT_CONFIG
+
+    def test_desk_json_spells_out_every_default(self):
+        desk = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
+        assert json.loads(desk.read_text()) == DEFAULT_CONFIG
 
     def test_file_overrides_default(self, tiny_config):
         cfg = load_effective_config(str(tiny_config), {})

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cmpad import harness
 from cmpad.datagen import GeneratorSpec, generate
 from cmpad.datasets import make_grandtest, make_loo
 from cmpad.errors import DataError
@@ -241,6 +242,27 @@ class TestSingleChannelStudy:
         for accs in study["per_seed"].values():
             assert len(accs) == 2
         assert (tmp_path / "single_channel_study.json").exists()
+
+    def test_each_leg_scored_once(self, tiny_samples, tiny_records, tiny_cfg, tmp_path,
+                                  monkeypatch):
+        calls = []
+        real = harness.forward_cached
+
+        def spy(params, x_a, x_b, heads):
+            calls.append(heads)
+            return real(params, x_a, x_b, heads)
+
+        monkeypatch.setattr(harness, "forward_cached", spy)
+        studies = []
+        for run in ("r1", "r2"):
+            calls.clear()
+            run_single_channel_study(
+                tiny_samples, tiny_records, tiny_cfg, seeds=(0,), out_dir=tmp_path / run
+            )
+            # 2 legs (bce, cmfl), each scored on dev and on eval, all heads at once
+            assert calls == [("a", "b", "joint")] * 4
+            studies.append((tmp_path / run / "single_channel_study.json").read_bytes())
+        assert studies[0] == studies[1]
 
 
 class TestCrossDataset:

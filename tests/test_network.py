@@ -58,8 +58,12 @@ class TestInit:
                 assert not arr.any()
 
     def test_geometry_error(self):
-        with pytest.raises(ValueError, match="incompatible geometry"):
-            NetworkConfig(input_height=30, input_width=32, blocks_per_branch=3)
+        # 10**12 blocks must be rejected without computing 2**(10**12)
+        for bad in (dict(input_height=30), dict(input_width=0), dict(base_filters=0),
+                    dict(channels_b=0), dict(embedding_dim=0), dict(blocks_per_branch=10**12)):
+            with pytest.raises(ValueError, match="incompatible geometry"):
+                NetworkConfig(**{"input_height": 32, "input_width": 32,
+                                 "blocks_per_branch": 3, **bad})
 
     def test_spatial_size_before_gap(self):
         cfg = NetworkConfig(input_height=32, input_width=32, blocks_per_branch=3,
