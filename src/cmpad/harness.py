@@ -163,8 +163,8 @@ def train(
         losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            batch_a = xa[idx].copy()
-            batch_b = xb[idx].copy()
+            batch_a = xa[idx]  # integer indexing copies, so the flips below stay local
+            batch_b = xb[idx]
             flip = flips[idx]
             batch_a[flip] = batch_a[flip][..., ::-1]
             batch_b[flip] = batch_b[flip][..., ::-1]
@@ -451,6 +451,9 @@ def run_cross_dataset(
     intra-dataset HTER for reference)."""
     src_samples, src_records = source
     tgt_samples, tgt_records = target
+    for role, ss in (("source", src_samples), ("target", tgt_samples)):
+        if not ss:
+            raise DataError(f"{role} dataset is empty: its manifest lists no samples")
     shape_of = lambda ss: (ss[0].x_a.shape, ss[0].x_b.shape)
     if shape_of(src_samples) != shape_of(tgt_samples):
         raise DataError(

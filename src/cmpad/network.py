@@ -2,7 +2,9 @@
 
 Each branch is a small stack of [3x3 conv -> ReLU -> 2x2 average pool]
 blocks with filter count doubling per block, followed by global average
-pooling and a linear map to a fixed-dimension embedding. The two branch
+pooling and a linear map to a fixed-dimension embedding. Inside a branch
+activations are channel-major (C, N, H, W), so each conv layer is one
+im2col GEMM over the whole batch: (F, C*9) @ (C*9, N*H*W). The two branch
 embeddings are concatenated into a joint embedding, and three sigmoid
 heads (branch A, branch B, joint) each apply one fully connected layer.
 
@@ -175,69 +177,79 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """Same-padding stride-1 3x3 convolution; returns (out, im2col cache)."""
-    n, c, h, wd = x.shape
+    """Same-padding stride-1 3x3 convolution of a channel-major batch
+    x (C, N, H, W) as one GEMM; returns (out (F, N, H, W), im2col cols)."""
+    c, n, h, wd = x.shape
     f = w.shape[0]
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = np.empty((n, c, 9, h, wd), dtype=x.dtype)
+    xp = np.zeros((c, n, h + 2, wd + 2))
+    xp[:, :, 1 : h + 1, 1 : wd + 1] = x
+    cols = np.empty((c, 9, n, h, wd))
     for idx in range(9):
         dy, dx = divmod(idx, 3)
-        cols[:, :, idx] = xp[:, :, dy : dy + h, dx : dx + wd]
-    cols2 = cols.reshape(n, c * 9, h * wd)
-    wr = w.reshape(f, c * 9)
-    out = np.matmul(wr, cols2).reshape(n, f, h, wd) + b[None, :, None, None]
-    return out, cols2
+        cols[:, idx] = xp[:, :, dy : dy + h, dx : dx + wd]
+    cols = cols.reshape(c * 9, n * h * wd)  # row c*9 + idx matches w.reshape(f, c*9)
+    out = w.reshape(f, c * 9) @ cols
+    out += b[:, None]
+    return out.reshape(f, n, h, wd), cols
 
 
-def _conv2d_backward(dout: np.ndarray, cols2: np.ndarray, w: np.ndarray,
-                     x_shape: tuple[int, ...]):
-    n, c, h, wd = x_shape
-    f = w.shape[0]
-    dout2 = dout.reshape(n, f, h * wd)
-    dw = np.matmul(dout2, cols2.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-    db = dout.sum(axis=(0, 2, 3))
-    dcols2 = np.matmul(w.reshape(f, c * 9).T, dout2)  # (n, c*9, h*w)
-    dcols = dcols2.reshape(n, c, 9, h, wd)
-    dxp = np.zeros((n, c, h + 2, wd + 2), dtype=dout.dtype)
+def _conv2d_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray, need_dx: bool):
+    """(dx, dW, db) for dout (F, N, H, W); dx is None unless need_dx."""
+    f, n, h, wd = dout.shape
+    c = w.shape[1]
+    dout2 = dout.reshape(f, n * h * wd)
+    dw = (dout2 @ cols.T).reshape(w.shape)
+    db = dout2.sum(axis=1)
+    if not need_dx:
+        return None, dw, db
+    dcols = (w.reshape(f, c * 9).T @ dout2).reshape(c, 9, n, h, wd)
+    dxp = np.zeros((c, n, h + 2, wd + 2))
     for idx in range(9):
         dy, dx = divmod(idx, 3)
-        dxp[:, :, dy : dy + h, dx : dx + wd] += dcols[:, :, idx]
+        dxp[:, :, dy : dy + h, dx : dx + wd] += dcols[:, idx]
     return dxp[:, :, 1 : h + 1, 1 : wd + 1], dw, db
 
 
 def _avgpool2(x: np.ndarray) -> np.ndarray:
-    n, c, h, w = x.shape
-    return x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    out = x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2]
+    out += x[:, :, 1::2, 0::2]
+    out += x[:, :, 1::2, 1::2]
+    return np.multiply(out, 0.25, out=out)
 
 
-def _avgpool2_backward(dout: np.ndarray) -> np.ndarray:
-    return np.repeat(np.repeat(dout, 2, axis=2), 2, axis=3) / 4.0
+def _avgpool2_backward(dout: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Gradient through ReLU then 2x2 average pool: dout broadcasts to
+    (C, N, H/2, W/2) and mask is the (C, N, H, W) ReLU mask. Repeating
+    along W first keeps the broadcast write's inner loop W long, not 2."""
+    c, n, h, w = mask.shape
+    rows = np.repeat(np.broadcast_to(0.25 * dout, (c, n, h // 2, w // 2)), 2, axis=3)
+    dx = np.empty((c, n, h // 2, 2, w))
+    np.multiply(mask.reshape(dx.shape), rows[:, :, :, None], out=dx)
+    return dx.reshape(mask.shape)
 
 
 class _BranchCache:
-    __slots__ = ("x", "conv_cols", "pre_relu", "conv_in_shapes", "gap_in", "gap")
+    __slots__ = ("conv_cols", "relu_masks", "gap_in", "gap")
 
     def __init__(self):
         self.conv_cols: list[np.ndarray] = []
-        self.pre_relu: list[np.ndarray] = []
-        self.conv_in_shapes: list[tuple[int, ...]] = []
+        self.relu_masks: list[np.ndarray] = []
 
 
 def _branch_forward(params: ParameterSet, branch: str, x: np.ndarray):
     cfg = params.config
     cache = _BranchCache()
-    cache.x = x
-    cur = x - 0.5  # rasters arrive in [0, 1]; center for better conditioning
+    cur = x.transpose(1, 0, 2, 3) - 0.5  # rasters arrive in [0, 1]; center them
     for i in range(cfg.blocks_per_branch):
         w = params.params[f"branch_{branch}/conv{i}/W"]
         b = params.params[f"branch_{branch}/conv{i}/b"]
-        cache.conv_in_shapes.append(cur.shape)
-        out, cols2 = _conv2d_forward(cur, w, b)
-        cache.conv_cols.append(cols2)
-        cache.pre_relu.append(out)
-        cur = _avgpool2(np.maximum(out, 0.0))
+        out, cols = _conv2d_forward(cur, w, b)
+        np.maximum(out, 0.0, out=out)
+        cache.conv_cols.append(cols)
+        cache.relu_masks.append(out > 0)
+        cur = _avgpool2(out)
     cache.gap_in = cur
-    g = cur.mean(axis=(2, 3))  # (N, C_last)
+    g = cur.mean(axis=(2, 3)).T  # (N, C_last)
     cache.gap = g
     we = params.params[f"branch_{branch}/embed/W"]
     be = params.params[f"branch_{branch}/embed/b"]
@@ -252,14 +264,12 @@ def _branch_backward(params: ParameterSet, branch: str, cache: _BranchCache,
     grads[f"branch_{branch}/embed/W"] += demb.T @ cache.gap
     grads[f"branch_{branch}/embed/b"] += demb.sum(axis=0)
     dg = demb @ we  # (N, C_last)
-    n, c, h, w = cache.gap_in.shape
-    dcur = np.broadcast_to(dg[:, :, None, None] / (h * w), cache.gap_in.shape).copy()
+    dcur = (dg.T / math.prod(cache.gap_in.shape[2:]))[:, :, None, None]  # broadcast over GAP input
     for i in reversed(range(cfg.blocks_per_branch)):
-        dpre_pool = _avgpool2_backward(dcur)
-        dpre_relu = dpre_pool * (cache.pre_relu[i] > 0)
+        dpre_relu = _avgpool2_backward(dcur, cache.relu_masks[i])
         wname = f"branch_{branch}/conv{i}/W"
         dcur, dw, db = _conv2d_backward(
-            dpre_relu, cache.conv_cols[i], params.params[wname], cache.conv_in_shapes[i]
+            dpre_relu, cache.conv_cols[i], params.params[wname], need_dx=i > 0
         )
         grads[wname] += dw
         grads[f"branch_{branch}/conv{i}/b"] += db

@@ -277,6 +277,18 @@ class TestRunCommands:
             "scores_eval_intra_joint.tsv", "scores_eval_cross_joint.tsv",
         }
 
+    def test_xdb_empty_dataset_is_data_error(self, tmp_path, tiny_config, dataset, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        header = (dataset / "manifest.tsv").read_text().splitlines()[0]
+        (empty / "manifest.tsv").write_text(header + "\n")
+        for role, source, target in (("target", dataset, empty), ("source", empty, dataset)):
+            code = main(["xdb", "--data", str(source), "--data2", str(target),
+                         "--config", str(tiny_config), "--out", str(tmp_path / "runs"),
+                         "--name", role])
+            assert code == 3
+            assert f"{role} dataset is empty" in capsys.readouterr().err
+
     def test_every_design_honours_protocol_section(self, tmp_path, dataset, monkeypatch):
         # a split seed and BPCER target that differ from every default
         path = tmp_path / "proto.json"
@@ -300,7 +312,8 @@ class TestRunCommands:
         assert main(["single-channel", *common, "--name", "sc", "--seeds", "0"]) == 0
         assert targets == [0.2] * 4  # 2 losses x 2 heads
 
-    def test_train_bytes_independent_of_blas_threads(self, tmp_path, tiny_config, dataset):
+    @staticmethod
+    def train_bytes_by_threads(tmp_path, config, data, *extra):
         src = Path(cmpad.__file__).resolve().parents[1]
         runs = {}
         for threads in ("1", "2"):
@@ -308,12 +321,25 @@ class TestRunCommands:
                        PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
             out = tmp_path / f"threads{threads}"
             subprocess.run(
-                [sys.executable, "-m", "cmpad.cli", "train", "--data", str(dataset),
-                 "--config", str(tiny_config), "--out", str(out), "--name", "tr"],
+                [sys.executable, "-m", "cmpad.cli", "train", "--data", str(data),
+                 "--config", str(config), "--out", str(out), "--name", "tr", *extra],
                 env=env, check=True, capture_output=True, timeout=300,
             )
             runs[threads] = [(out / "tr" / f).read_bytes()
                              for f in ("checkpoint.bin", "losslog.json")]
+        return runs
+
+    def test_train_bytes_independent_of_blas_threads(self, tmp_path, tiny_config, dataset):
+        runs = self.train_bytes_by_threads(tmp_path, tiny_config, dataset)
+        assert runs["1"] == runs["2"]
+
+    def test_train_bytes_independent_of_blas_threads_at_desk_size(self, tmp_path):
+        # 32x32 rasters in batches of 32: each first-layer GEMM has 32,768
+        # columns, enough for OpenBLAS to split it across threads
+        config = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
+        data = tmp_path / "desk"
+        assert main(["gen-data", str(data), "--config", str(config)]) == 0
+        runs = self.train_bytes_by_threads(tmp_path, config, data, "--epochs", "2")
         assert runs["1"] == runs["2"]
 
     def test_missing_dataset_is_data_error(self, tmp_path, tiny_config, capsys):

@@ -9,6 +9,10 @@ from cmpad.errors import (
 )
 from cmpad.losses import LossParams
 from cmpad.network import (
+    _avgpool2,
+    _avgpool2_backward,
+    _conv2d_backward,
+    _conv2d_forward,
     ForwardOutput,
     NetworkConfig,
     OptimizerConfig,
@@ -72,6 +76,62 @@ class TestInit:
         xa, xb, _ = rand_batch(2, cfg)
         _, (cache_a, _) = forward_cached(ps, xa, xb)
         assert cache_a.gap_in.shape[2:] == (4, 4)  # 32 / 2^3
+
+
+def conv_reference(x, w, b):
+    """Direct same-padding 3x3 convolution of a channel-major batch (C, N, H, W)."""
+    _, _, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    out = np.zeros((w.shape[0],) + x.shape[1:])
+    for dy in range(3):
+        for dx in range(3):
+            out += np.einsum("fc,cnhw->fnhw", w[:, :, dy, dx], xp[:, :, dy : dy + h, dx : dx + wd])
+    return out + b[:, None, None, None]
+
+
+PRIMITIVE_SHAPES = [(c, n, h) for c in (1, 3, 8) for n in (1, 5) for h in (4, 8)]
+
+
+class TestPrimitives:
+    @pytest.mark.parametrize("c,n,h", PRIMITIVE_SHAPES)
+    def test_conv_forward_matches_direct_convolution(self, c, n, h):
+        rng = np.random.default_rng(c * 100 + n * 10 + h)
+        x, w, b = rng.random((c, n, h, h)), rng.normal(size=(4, c, 3, 3)), rng.normal(size=4)
+        out, cols = _conv2d_forward(x, w, b)
+        assert out.shape == (4, n, h, h) and cols.shape == (c * 9, n * h * h)
+        np.testing.assert_allclose(out, conv_reference(x, w, b), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("c,n,h", PRIMITIVE_SHAPES)
+    def test_conv_backward_is_adjoint(self, c, n, h):
+        rng = np.random.default_rng(c * 100 + n * 10 + h + 1)
+        x, w, b = rng.normal(size=(c, n, h, h)), rng.normal(size=(4, c, 3, 3)), rng.normal(size=4)
+        dout = rng.normal(size=(4, n, h, h))
+        out, cols = _conv2d_forward(x, w, np.zeros(4))
+        dx, dw, db = _conv2d_backward(dout, cols, w, need_dx=True)
+        inner = np.vdot(dout, out)
+        for other in (np.vdot(dx, x), np.vdot(dw, w)):
+            assert abs(inner - other) <= 1e-12 * abs(inner)
+        with_bias, _ = _conv2d_forward(x, w, b)
+        bias_part = np.vdot(dout, with_bias) - inner
+        assert abs(bias_part - np.vdot(db, b)) <= 1e-12 * np.abs(dout).sum() * np.abs(b).max()
+        no_dx, dw2, db2 = _conv2d_backward(dout, cols, w, need_dx=False)
+        assert no_dx is None
+        np.testing.assert_array_equal(dw2, dw)
+        np.testing.assert_array_equal(db2, db)
+
+    @pytest.mark.parametrize("c,n,h", PRIMITIVE_SHAPES)
+    def test_pool_backward_is_adjoint(self, c, n, h):
+        rng = np.random.default_rng(c * 100 + n * 10 + h + 2)
+        x, y = rng.normal(size=(c, n, h, h)), rng.normal(size=(c, n, h // 2, h // 2))
+        pooled = _avgpool2(x)
+        np.testing.assert_allclose(
+            pooled, x.reshape(c, n, h // 2, 2, h // 2, 2).mean(axis=(3, 5)), rtol=0, atol=1e-15
+        )
+        back = _avgpool2_backward(y, np.ones(x.shape, dtype=bool))
+        scale = np.abs(x).sum() * np.abs(y).max()
+        assert abs(np.vdot(pooled, y) - np.vdot(x, back)) <= 1e-12 * scale
+        mask = rng.random(x.shape) < 0.5
+        np.testing.assert_array_equal(_avgpool2_backward(y, mask), back * mask)
 
 
 class TestForward:
@@ -278,6 +338,17 @@ class TestPredictScore:
             if name.startswith("branch_b/") or name.startswith("head_b/"):
                 perturbed.params[name] += 10.0
         np.testing.assert_array_equal(predict_score(perturbed, x_a=xa, head="a"), base)
+
+    def test_single_sample_matches_batch_row_at_desk_geometry(self):
+        # a batch folds all samples into one GEMM per conv layer; alone, a
+        # sample must score as its batch row does
+        cfg = NetworkConfig(base_filters=8, embedding_dim=16)  # configs/desk.json
+        ps = init_network(cfg)
+        xa, xb, _ = rand_batch(5, cfg, seed=4)
+        out, _ = forward_cached(ps, xa, xb)
+        for head, batch in (("a", out.p), ("b", out.q), ("joint", out.r)):
+            for i in range(5):
+                assert abs(predict_score(ps, xa[i], xb[i], head=head) - batch[i]) <= 1e-12
 
     def test_single_sample_returns_float(self):
         ps = init_network(CFG)
