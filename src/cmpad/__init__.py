@@ -23,7 +23,6 @@ from .metrics import (
     apcer_bpcer_acer,
     brute_force_sweep,
     eer_threshold,
-    hter,
     threshold_at_bpcer,
 )
 from .network import (
@@ -58,7 +57,6 @@ __all__ = [
     "eer_threshold",
     "evaluate",
     "generate",
-    "hter",
     "init_network",
     "load_checkpoint",
     "load_dataset",

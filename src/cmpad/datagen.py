@@ -182,11 +182,7 @@ def generate(spec: GeneratorSpec) -> list[MultiModalSample]:
     return samples
 
 
-def oracle_separability(
-    samples: Sequence[MultiModalSample],
-    channel: str,
-    min_per_class: int = 50,
-) -> float:
+def oracle_separability(samples: Sequence[MultiModalSample], channel: str) -> float:
     """Accuracy of a brute-force nearest-centroid classifier on one channel.
 
     Two-fold cross-validated: class centroids are fit on one half of the
@@ -195,7 +191,8 @@ def oracle_separability(
     distributions near chance instead of inheriting resubstitution
     optimism. This is the generator's acceptance oracle: a channel an
     attack is supposed to be invisible in must score near chance, a
-    channel it is visible in must score high.
+    channel it is visible in must score high. Each class needs at least
+    50 samples.
     """
     if channel not in ("a", "b"):
         raise ValueError(f"channel must be 'a' or 'b', got {channel!r}")
@@ -207,8 +204,8 @@ def oracle_separability(
     counts = {label: int((ys == label).sum()) for label in (0, 1)}
     if min(counts.values()) == 0:
         raise ValueError("both classes must be present")
-    if min(counts.values()) < min_per_class:
-        raise ValueError(f"need at least {min_per_class} samples per class")
+    if min(counts.values()) < 50:
+        raise ValueError("need at least 50 samples per class")
 
     # fold assignment: alternate within each class so folds stay balanced
     fold = np.empty(len(ys), dtype=int)

@@ -139,10 +139,11 @@ def _read_d16(path: Path) -> np.ndarray:
     return data.reshape(h, w).astype(np.int64)
 
 
-def read_channel(path: Path, mad_k: float = 3.0) -> np.ndarray:
-    """Decode one channel raster to (C, H, W) floats in [0, 1]."""
+def read_channel(path: Path) -> np.ndarray:
+    """Decode one channel raster to (C, H, W) floats in [0, 1]; raw depth
+    is MAD normalized at k = 3."""
     if path.suffix == ".d16":
-        return mad_normalize(_read_d16(path), k=mad_k)[None, :, :]
+        return mad_normalize(_read_d16(path))[None, :, :]
     return _read_netpbm(path)
 
 
@@ -224,7 +225,6 @@ def save_dataset(
 def load_dataset(
     root: str | Path,
     channels: tuple[str, ...] = ("a", "b"),
-    mad_k: float = 3.0,
 ) -> tuple[list[MultiModalSample], list[ManifestRecord]]:
     """Decode a dataset directory into memory.
 
@@ -247,7 +247,7 @@ def load_dataset(
             path = root / rel
             if not path.is_file():
                 raise DataError(f"missing file: {path}")
-            arr = read_channel(path, mad_k=mad_k)
+            arr = read_channel(path)
             if ch in shapes and arr.shape != shapes[ch]:
                 raise DataError(
                     f"shape mismatch for channel {ch} at {rec.id}: "
@@ -304,13 +304,12 @@ def make_grandtest(
     records: Sequence[ManifestRecord],
     ratios: Sequence[float] = (0.5, 0.25, 0.25),
     seed: int = 0,
-    name: str = "grandtest",
 ) -> ProtocolSplit:
     """All attack types distributed across identity-disjoint folds."""
     train_ids, dev_ids, eval_ids = _identity_folds(records, ratios, seed)
     pick = lambda idents: tuple(r.id for r in records if r.identity in idents)
     return ProtocolSplit(
-        name=name,
+        name="grandtest",
         train=pick(train_ids),
         dev=pick(dev_ids),
         eval=pick(eval_ids),
@@ -322,7 +321,6 @@ def make_loo(
     attack: str,
     ratios: Sequence[float] = (0.5, 0.25, 0.25),
     seed: int = 0,
-    name: str | None = None,
 ) -> ProtocolSplit:
     """Unseen-attack protocol: `attack` is absent from train and dev, and
     eval holds only bonafide and `attack` samples.
@@ -346,7 +344,7 @@ def make_loo(
         if r.identity in eval_ids and r.attack_type in (BONAFIDE, attack)
     )
     return ProtocolSplit(
-        name=name or f"loo_{attack.lower()}",
+        name=f"loo_{attack.lower()}",
         train=train,
         dev=dev,
         eval=eval_,

@@ -182,15 +182,23 @@ def train(
 # scoring and evaluation
 
 
+def _loaded_heads(group: Sequence[MultiModalSample]) -> tuple[str, ...]:
+    """The heads a sample group's loaded channels can serve."""
+    if any(s.x_a is None for s in group):
+        return ("b",)
+    if any(s.x_b is None for s in group):
+        return ("a",)
+    return ("a", "b", "joint")
+
+
 def score_samples(
-    params: ParameterSet,
-    group: Sequence[MultiModalSample],
-    heads: tuple[str, ...] = ("a", "b", "joint"),
+    params: ParameterSet, group: Sequence[MultiModalSample]
 ) -> list[ScoreRecord]:
-    """ScoreRecords for a sample group; heads not computed are NaN."""
-    net = params.config
+    """ScoreRecords for a sample group from every head its loaded channels
+    can serve; the other heads are NaN."""
+    heads = _loaded_heads(group)
     needed = {branch for head in heads for branch in HEAD_BRANCHES[head]}
-    x = {c: _stack(group, c, net) if c in needed else None for c in ("a", "b")}
+    x = {c: _stack(group, c, params.config) if c in needed else None for c in ("a", "b")}
     out, _ = forward_cached(params, x["a"], x["b"], heads)
     return [
         ScoreRecord(
@@ -218,15 +226,10 @@ def evaluate(
     """
     dev_group = [samples[sid] for sid in split.dev]
     eval_group = [samples[sid] for sid in split.eval]
-    heads = ("a", "b", "joint")
-    if any(s.x_a is None for s in dev_group + eval_group):
-        heads = ("b",)
-    elif any(s.x_b is None for s in dev_group + eval_group):
-        heads = ("a",)
-    if head not in heads:
+    if head not in _loaded_heads(dev_group + eval_group):
         raise DataError(f"head {head!r} needs channels that are not loaded")
-    dev_records = score_samples(params, dev_group, heads)
-    eval_records = score_samples(params, eval_group, heads)
+    dev_records = score_samples(params, dev_group)
+    eval_records = score_samples(params, eval_group)
 
     if threshold_rule == "bpcer":
         tau = threshold_at_bpcer(dev_records, target=bpcer_target, head=head)
@@ -313,7 +316,6 @@ def run_loo(
     ratios: Sequence[float] = (0.5, 0.25, 0.25),
     protocol_seed: int | None = None,
     bpcer_target: float = 0.01,
-    head: str = "joint",
 ) -> ExperimentResult:
     """One leg per attack type, leave-one-out; aggregates ACER."""
     t0 = time.monotonic()
@@ -325,9 +327,7 @@ def run_loo(
     for attack in attacks:
         split = protocol_split(records, ratios, protocol_seed, cfg.seed, attack=attack)
         leg_dir = Path(out_dir) / split.name if out_dir is not None else None
-        _, report, _, _ = run_leg(
-            split, pool, cfg, head, bpcer_target=bpcer_target, out_dir=leg_dir
-        )
+        _, report, _, _ = run_leg(split, pool, cfg, bpcer_target=bpcer_target, out_dir=leg_dir)
         rows.append(ProtocolOutcome(split.name, attack, report))
     acers = np.array([r.report.acer for r in rows])
     result = ExperimentResult(
@@ -395,13 +395,12 @@ def run_single_channel_study(
     records: Sequence[ManifestRecord],
     cfg: TrainConfig,
     seeds: Sequence[int] = (0, 1, 2, 3, 4),
-    gamma_focal: float = 3.0,
     out_dir: str | Path | None = None,
     ratios: Sequence[float] = (0.5, 0.25, 0.25),
     protocol_seed: int | None = None,
     bpcer_target: float = 0.01,
 ) -> dict:
-    """2x2 design: {BCE(gamma=0), cross-modal focal(gamma)} x {head a, b}.
+    """2x2 design: {BCE (gamma 0), cross-modal focal (cfg.loss.gamma)} x {head a, b}.
 
     Trains and scores each loss variant once per seed on the grandtest
     protocol, then thresholds each head on dev separately. Reports
@@ -409,7 +408,7 @@ def run_single_channel_study(
     """
     split = protocol_split(records, ratios, protocol_seed, cfg.seed)
     pool = by_id(samples)
-    variants = {"bce": 0.0, "cmfl": float(gamma_focal)}
+    variants = {"bce": 0.0, "cmfl": float(cfg.loss.gamma)}
     per_seed: dict[str, list[float]] = {
         f"{variant}_head_{head}": [] for variant in variants for head in ("a", "b")
     }
@@ -427,7 +426,7 @@ def run_single_channel_study(
         "median": {cell: float(np.median(accs)) for cell, accs in per_seed.items()},
         "seeds": list(seeds),
         "protocol": split.name,
-        "gamma_focal": gamma_focal,
+        "gamma_focal": variants["cmfl"],
     }
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -499,14 +498,13 @@ def dump_score_distributions(
     split: ProtocolSplit,
     samples: dict[str, MultiModalSample],
     out_dir: str | Path | None = None,
-    bins: int = 64,
 ) -> dict:
-    """Per-head, per-class score histograms over [0, 1] for the eval fold,
-    emitted as plot-ready tables, plus the per-head class overlap (shared
-    bin mass, 0 = disjoint, 1 = identical)."""
+    """Per-head, per-class score histograms in 64 bins over [0, 1] for the
+    eval fold, emitted as plot-ready tables, plus the per-head class
+    overlap (shared bin mass, 0 = disjoint, 1 = identical)."""
     eval_group = [samples[sid] for sid in split.eval]
     records = score_samples(params, eval_group)
-    edges = np.linspace(0.0, 1.0, bins + 1)
+    edges = np.linspace(0.0, 1.0, 65)
     table: dict[str, dict[str, np.ndarray]] = {}
     overlap: dict[str, float] = {}
     for head in ("a", "b", "joint"):
@@ -523,12 +521,11 @@ def dump_score_distributions(
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for head in ("a", "b", "joint"):
-            write_score_file(out_dir / f"scores_eval_{head}.tsv", records)
+        write_score_file(out_dir / "scores_eval.tsv", records)
         lines = ["head\tclass\tbin_lo\tbin_hi\tcount"]
         for head, hist in table.items():
             for cls_name, counts in hist.items():
-                for b in range(bins):
+                for b in range(len(counts)):
                     lines.append(
                         f"{head}\t{cls_name}\t{edges[b]:.6f}\t{edges[b + 1]:.6f}\t{counts[b]}"
                     )

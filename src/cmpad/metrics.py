@@ -61,11 +61,6 @@ class SweepRow:
     bpcer: float
 
 
-def classify(score: float, threshold: float) -> int:
-    """1 (bonafide) when score >= threshold, else 0 (attack)."""
-    return 1 if score >= threshold else 0
-
-
 def _split_scores(records: Sequence[ScoreRecord] | Sequence[tuple[float, int]],
                   head: str = "joint") -> tuple[np.ndarray, np.ndarray]:
     """Return (attack_scores, bonafide_scores) as float arrays."""
@@ -165,14 +160,6 @@ def eer_threshold(dev_records: Sequence[ScoreRecord] | Sequence[tuple[float, int
     return float(cands[idx]), float((far[idx] + frr[idx]) / 2.0)
 
 
-def hter(eval_records: Sequence[ScoreRecord] | Sequence[tuple[float, int]],
-         threshold: float,
-         head: str = "joint",
-         threshold_rule: str = "EER") -> MetricsReport:
-    """Error rates on an evaluation set at an externally supplied threshold."""
-    return apcer_bpcer_acer(eval_records, threshold, head, threshold_rule)
-
-
 def brute_force_sweep(records: Sequence[ScoreRecord] | Sequence[tuple[float, int]],
                       head: str = "joint") -> list[SweepRow]:
     """Exhaustive (threshold, FAR, FRR, APCER, BPCER) table computed the slow,
@@ -250,7 +237,3 @@ def write_report(path: str | Path, report: MetricsReport, provenance: dict) -> N
     """Report file: all metric fields plus provenance (protocol, head, rule)."""
     payload = {"metrics": asdict(report), "provenance": dict(provenance)}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def read_report(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())

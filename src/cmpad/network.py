@@ -341,7 +341,8 @@ def forward_cached(
     nan = np.full((n, params.config.embedding_dim), np.nan)
     e_p, e_q = emb.get("a", nan), emb.get("b", nan)
     p, q, r = (probs.get(head, np.full(n, np.nan)) for head in ("a", "b", "joint"))
-    out = ForwardOutput(e_p=e_p, e_q=e_q, e_r=np.concatenate([e_p, e_q], axis=1), p=p, q=q, r=r)
+    e_r = emb["joint"] if "joint" in emb else np.concatenate([e_p, e_q], axis=1)
+    out = ForwardOutput(e_p=e_p, e_q=e_q, e_r=e_r, p=p, q=q, r=r)
     return out, (caches.get("a"), caches.get("b"))
 
 
@@ -449,8 +450,7 @@ def predict_score(
 
 _MAGIC = b"CMPADCKP"
 _VERSION = 1
-_DTYPE_CODES = {"<f8": 1, "<f4": 2}
-_CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
+_F8 = 1  # the dtype tag of every record: little-endian float64
 
 
 def _read_exact(buf: io.BufferedReader, n: int) -> bytes:
@@ -464,12 +464,11 @@ def _write_array(out: io.BufferedWriter, name: str, arr: np.ndarray) -> None:
     enc = name.encode("utf-8")
     out.write(struct.pack("<H", len(enc)))
     out.write(enc)
-    code = _DTYPE_CODES[arr.dtype.newbyteorder("<").str]
-    out.write(struct.pack("<B", code))
+    out.write(struct.pack("<B", _F8))
     out.write(struct.pack("<B", arr.ndim))
     for dim in arr.shape:
         out.write(struct.pack("<I", dim))
-    out.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
+    out.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def _read_array(buf: io.BufferedReader) -> tuple[str, np.ndarray]:
@@ -479,30 +478,23 @@ def _read_array(buf: io.BufferedReader) -> tuple[str, np.ndarray]:
     except UnicodeDecodeError as exc:
         raise BadCheckpointFormat(f"bad checkpoint format: array name {exc}") from exc
     (code,) = struct.unpack("<B", _read_exact(buf, 1))
-    if code not in _CODE_DTYPES:
-        raise BadCheckpointFormat(f"unknown dtype code {code}")
-    dtype = np.dtype(_CODE_DTYPES[code])
+    if code != _F8:
+        raise BadCheckpointFormat(f"bad checkpoint format: unknown dtype code {code}")
     (ndim,) = struct.unpack("<B", _read_exact(buf, 1))
     shape = tuple(
         struct.unpack("<I", _read_exact(buf, 4))[0] for _ in range(ndim)
     )
     count = math.prod(shape)  # a Python int: no int64 wrap-around on a corrupt shape
-    data = _read_exact(buf, count * dtype.itemsize)
+    data = _read_exact(buf, count * 8)
     try:
-        return name, np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+        return name, np.frombuffer(data, dtype="<f8").reshape(shape).copy()
     except ValueError as exc:  # more dims, or a larger size, than numpy allows
         raise BadCheckpointFormat(f"bad checkpoint format: {name} {exc}") from exc
 
 
-def save_checkpoint(
-    params: ParameterSet, path: str | Path, precision: str = "f8"
-) -> None:
-    """Versioned binary container; the default f8 precision round-trips
-    weights and optimizer state bit-exactly. precision='f4' stores a
-    lossy compact copy."""
-    if precision not in ("f8", "f4"):
-        raise ValueError("precision must be 'f8' or 'f4'")
-    dtype = np.dtype("<f8" if precision == "f8" else "<f4")
+def save_checkpoint(params: ParameterSet, path: str | Path) -> None:
+    """Versioned binary container of float64 records; weights and
+    optimizer state round-trip bit-exactly."""
     path = Path(path)
     with io.BytesIO() as out:
         out.write(_MAGIC)
@@ -519,7 +511,7 @@ def save_checkpoint(
             ("v/", params.adam_v),
         ):
             for name in names:
-                _write_array(out, prefix + name, group[name].astype(dtype, copy=False))
+                _write_array(out, prefix + name, group[name])
         path.write_bytes(out.getvalue())
 
 
@@ -549,7 +541,9 @@ def load_checkpoint(path: str | Path) -> ParameterSet:
             name, arr = _read_array(buf)
             prefix, _, bare = name.partition("/")
             if prefix not in groups:
-                raise BadCheckpointFormat(f"unknown record group {prefix!r}")
+                raise BadCheckpointFormat(
+                    f"bad checkpoint format: unknown record group {prefix!r}"
+                )
             groups[prefix][bare] = arr
 
     expected = parameter_shapes(config)

@@ -60,6 +60,11 @@ def written(run: Path) -> set:
     return {str(p.relative_to(run)) for p in run.rglob("*") if p.is_file()}
 
 
+def test_every_export_resolves():
+    missing = [name for name in cmpad.__all__ if not hasattr(cmpad, name)]
+    assert missing == []
+
+
 class TestConfig:
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="generator.wavelength"):
@@ -231,8 +236,7 @@ class TestRunCommands:
         assert main(["report", "--data", str(dataset), "--config", str(tiny_config),
                      "--out", str(out), "--name", "rep", "--checkpoint", str(ckpt)]) == 0
         assert written(out / "rep") == RUN_FILES | {
-            "histograms.tsv", "losscurve.tsv",
-            "scores_eval_a.tsv", "scores_eval_b.tsv", "scores_eval_joint.tsv",
+            "histograms.tsv", "losscurve.tsv", "scores_eval.tsv",
         }
 
     def test_eval_head_b_never_reads_channel_a(self, tmp_path, tiny_config, dataset):
@@ -258,6 +262,24 @@ class TestRunCommands:
         study = json.loads((out / "sc" / "single_channel_study.json").read_text())
         assert len(study["per_seed"]) == 4  # 2 losses x 2 heads
         assert written(out / "sc") == RUN_FILES | {"single_channel_study.json"}
+
+    def test_single_channel_honours_loss_gamma(self, tmp_path, dataset, monkeypatch):
+        path = tmp_path / "gamma2.json"
+        path.write_text(json.dumps({**TINY, "loss": {"gamma": 2}}))
+        gammas = []
+        real = harness.train
+
+        def spy(split, samples, cfg):
+            gammas.append(cfg.loss.gamma)
+            return real(split, samples, cfg)
+
+        monkeypatch.setattr(harness, "train", spy)
+        out = tmp_path / "runs"
+        assert main(["single-channel", "--data", str(dataset), "--config", str(path),
+                     "--out", str(out), "--name", "sc", "--seeds", "0"]) == 0
+        assert sorted(gammas) == [0.0, 2.0]  # the BCE leg and the focal leg
+        study = json.loads((out / "sc" / "single_channel_study.json").read_text())
+        assert study["gamma_focal"] == 2.0
 
     def test_xdb(self, tmp_path, tiny_config, dataset):
         other = tmp_path / "ds2"

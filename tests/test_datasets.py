@@ -17,6 +17,7 @@ from cmpad.datasets import (
     write_raster_d16,
 )
 from cmpad.errors import DataError
+from cmpad.preprocessing import mad_normalize
 
 SPEC = GeneratorSpec(image_size=16, n_identities=6, samples_per_identity=3, seed=21)
 
@@ -45,11 +46,13 @@ class TestRasterIO:
         np.testing.assert_array_equal(read_channel(path), img)
 
     def test_d16_is_mad_normalized_on_read(self, tmp_path):
-        depth = np.array([[8, 9, 10, 11, 12]], dtype=np.int64)
+        # median 10, MAD 2, so k = 3 maps [4, 16] onto [0, 255]; 0 is invalid
+        depth = np.array([[0, 2, 8, 10, 12, 18]], dtype=np.int64)
         path = tmp_path / "x.d16"
         write_raster_d16(path, depth)
-        out = read_channel(path, mad_k=1.0)
-        np.testing.assert_array_equal(out, np.array([[[0, 0, 128, 255, 255]]]) / 255)
+        out = read_channel(path)
+        np.testing.assert_array_equal(out, mad_normalize(depth)[None])
+        np.testing.assert_array_equal(out, np.array([[[0, 0, 85, 128, 170, 255]]]) / 255)
 
     def test_d16_little_endian_layout(self, tmp_path):
         depth = np.array([[1, 258]], dtype=np.int64)

@@ -331,8 +331,8 @@ class TestScoreDistributions:
             assert hist["bonafide"].sum() == n_bona
             assert hist["attack"].sum() == n_att
         assert (tmp_path / "histograms.tsv").exists()
-        for head in ("a", "b", "joint"):
-            assert (tmp_path / f"scores_eval_{head}.tsv").exists()
+        assert (tmp_path / "scores_eval.tsv").exists()
+        assert not list(tmp_path.glob("scores_eval_*.tsv"))
 
     def test_overlap_in_unit_range(self, grandtest, tiny_samples, tiny_cfg):
         pool = by_id(tiny_samples)

@@ -7,7 +7,7 @@ from cmpad.errors import (
     CheckpointVersionMismatch,
     TruncatedCheckpoint,
 )
-from cmpad.losses import LossParams
+from cmpad.losses import LossParams, combined_loss
 from cmpad.network import (
     _avgpool2,
     _avgpool2_backward,
@@ -194,31 +194,44 @@ class TestForward:
 
 class TestBackward:
     def test_finite_difference_on_sampled_parameters(self):
+        # 4-point central stencil: truncation error O(h^4), round-off about
+        # 1e-16 * loss / h, both far below the bound at h = 1e-4
         ps = init_network(CFG)
         xa, xb, ys = rand_batch(5, seed=3)
         lp = LossParams()
-        grads, batch, _ = backward(ps, xa, xb, ys, lp)
+        grads, _, _ = backward(ps, xa, xb, ys, lp)
+
+        def loss_and_masks(params):
+            out, caches = forward_cached(params, xa, xb)
+            loss = combined_loss(out.p, out.q, out.r, ys, lp).value.mean()
+            return loss, [m for cache in caches for m in cache.relu_masks]
+
+        _, masks = loss_and_masks(ps)
         rng = np.random.default_rng(99)
         names = sorted(ps.params)
-        h = 1e-6
-        worst = 0.0
-        for _ in range(20):
+        h = 1e-4
+        worst, checked = 0.0, 0
+        for _ in range(200):
             name = names[rng.integers(len(names))]
             flat_idx = int(rng.integers(ps.params[name].size))
             idx = np.unravel_index(flat_idx, ps.params[name].shape) if ps.params[name].ndim else ()
-            for sign in (+1, -1):
+            f = {}
+            for step in (-2, -1, 1, 2):
                 probe = ps.copy()
-                probe.params[name][idx] += sign * h
-                _, lv, _ = backward(probe, xa, xb, ys, lp)
-                if sign > 0:
-                    up = lv.value
-                else:
-                    down = lv.value
-            numeric = (up - down) / (2 * h)
-            analytic = grads[name][idx]
-            denom = max(abs(numeric), abs(analytic))
-            if denom > 1e-7:
-                worst = max(worst, abs(numeric - analytic) / denom)
+                probe.params[name][idx] += step * h
+                f[step], probe_masks = loss_and_masks(probe)
+                if not all(map(np.array_equal, probe_masks, masks)):
+                    break  # the stencil straddles a ReLU kink
+            else:
+                numeric = (f[-2] - 8 * f[-1] + 8 * f[1] - f[2]) / (12 * h)
+                analytic = grads[name][idx]
+                denom = max(abs(numeric), abs(analytic))
+                if denom > 1e-7:
+                    worst = max(worst, abs(numeric - analytic) / denom)
+                    checked += 1
+                    if checked == 20:
+                        break
+        assert checked == 20
         assert worst <= 1e-5
 
     def test_gamma_zero_lambda_one_decouples_joint_head(self):
@@ -398,6 +411,7 @@ class TestCheckpoint:
         cfg_end = 16 + int.from_bytes(good[12:16], "little")
         cfg = good[16:cfg_end]
         name_at = cfg_end + 8 + 4 + 2  # after step, record count, name length
+        dtype_at = name_at + int.from_bytes(good[name_at - 2 : name_at], "little")
         bad_cfg = lambda old, new: good[:16] + cfg.replace(old, new) + good[cfg_end:]
         corrupted = [
             b"XXXX" + good[4:],
@@ -405,6 +419,9 @@ class TestCheckpoint:
             bad_cfg(b'"seed"', b'"sEEd"'),  # unknown config key
             bad_cfg(b'"blocks_per_branch": 2', b'"blocks_per_branch": 0'),  # geometry
             good[:name_at] + b"\xff" + good[name_at + 1 :],  # array name not UTF-8
+            good[:name_at] + b"x" + good[name_at + 1 :],  # record group "x"
+            good[:dtype_at] + b"\x02" + good[dtype_at + 1 :],  # the retired f4 tag
+            good[:dtype_at] + b"\x00" + good[dtype_at + 1 :],  # no such dtype
         ]
         for bad_value in (np.nan, np.inf):
             ps = init_network(CFG)
@@ -447,18 +464,6 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointShapeMismatch):
             load_checkpoint(path)
-
-    def test_f4_precision_is_compact(self, tmp_path):
-        ps = init_network(CFG)
-        p8 = tmp_path / "f8.bin"
-        p4 = tmp_path / "f4.bin"
-        save_checkpoint(ps, p8)
-        save_checkpoint(ps, p4, precision="f4")
-        assert p4.stat().st_size < p8.stat().st_size
-        back = load_checkpoint(p4)
-        np.testing.assert_allclose(
-            back.params["head_a/W"], ps.params["head_a/W"], atol=1e-6
-        )
 
 
 def test_parameter_shapes_cover_all_params():
