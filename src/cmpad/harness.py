@@ -37,9 +37,9 @@ from .network import (
     NetworkConfig,
     OptimizerConfig,
     ParameterSet,
+    _forward,
     adam_step,
     backward,
-    forward_cached,
     init_network,
     save_checkpoint,
 )
@@ -195,15 +195,17 @@ def score_samples(
     params: ParameterSet, group: Sequence[MultiModalSample]
 ) -> list[ScoreRecord]:
     """ScoreRecords for a sample group from every head its loaded channels
-    can serve; the other heads are NaN."""
+    can serve; the other heads are NaN. No backward caches are kept."""
     heads = _loaded_heads(group)
     needed = {branch for head in heads for branch in HEAD_BRANCHES[head]}
     x = {c: _stack(group, c, params.config) if c in needed else None for c in ("a", "b")}
-    out, _ = forward_cached(params, x["a"], x["b"], heads)
+    probs = _forward(params, x["a"], x["b"], heads)[1]
+    nan = np.full(len(group), np.nan)
+    p, q, r = (probs.get(head, nan) for head in ("a", "b", "joint"))
     return [
         ScoreRecord(
             sample_id=s.id, label=s.label, attack_type=s.attack_type,
-            score_p=float(out.p[i]), score_q=float(out.q[i]), score_r=float(out.r[i]),
+            score_p=float(p[i]), score_q=float(q[i]), score_r=float(r[i]),
         )
         for i, s in enumerate(group)
     ]

@@ -3,10 +3,14 @@
 Each branch is a small stack of [3x3 conv -> ReLU -> 2x2 average pool]
 blocks with filter count doubling per block, followed by global average
 pooling and a linear map to a fixed-dimension embedding. Inside a branch
-activations are channel-major (C, N, H, W), so each conv layer is one
-im2col GEMM over the whole batch: (F, C*9) @ (C*9, N*H*W). The two branch
-embeddings are concatenated into a joint embedding, and three sigmoid
-heads (branch A, branch B, joint) each apply one fully connected layer.
+activations are batch-innermost (C, H, W, N): each conv layer is one
+im2col GEMM over the whole batch, (F, C*9) @ (C*9, H*W*N), and every
+strided copy and add in im2col, its scatter and the pools runs along the
+contiguous batch axis. Scoring runs the same body without backward
+caches, so each layer's cols and conv output are freed once it is
+pooled. The two branch embeddings are concatenated into a joint
+embedding, and three sigmoid heads (branch A, branch B, joint) each
+apply one fully connected layer.
 
 Everything runs in float64 so gradient checks can be tight. All
 randomness is seeded and parameter draws follow a fixed name order, so
@@ -67,10 +71,15 @@ class OptimizerConfig:
     eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        # written so that NaN fails every check
+        if not self.learning_rate > 0:
+            raise ValueError(f"optimizer.learning_rate must be > 0, got {self.learning_rate!r}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("betas must be in [0, 1)")
+            raise ValueError("optimizer.beta1 and optimizer.beta2 must be in [0, 1)")
+        if not self.eps > 0:  # 0 divides by zero wherever a gradient stays 0
+            raise ValueError(f"optimizer.eps must be > 0, got {self.eps!r}")
+        if not self.weight_decay >= 0:  # < 0 grows every weight each step
+            raise ValueError(f"optimizer.weight_decay must be >= 0, got {self.weight_decay!r}")
 
 
 @dataclass
@@ -177,54 +186,56 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """Same-padding stride-1 3x3 convolution of a channel-major batch
-    x (C, N, H, W) as one GEMM; returns (out (F, N, H, W), im2col cols)."""
-    c, n, h, wd = x.shape
+    """Same-padding stride-1 3x3 convolution of a batch-innermost batch
+    x (C, H, W, N) as one GEMM; returns (out (F, H, W, N), im2col cols)."""
+    c, h, wd, n = x.shape
     f = w.shape[0]
-    xp = np.zeros((c, n, h + 2, wd + 2))
-    xp[:, :, 1 : h + 1, 1 : wd + 1] = x
-    cols = np.empty((c, 9, n, h, wd))
+    xp = np.zeros((c, h + 2, wd + 2, n))
+    xp[:, 1 : h + 1, 1 : wd + 1] = x
+    cols = np.empty((c, 9, h, wd, n))
     for idx in range(9):
         dy, dx = divmod(idx, 3)
-        cols[:, idx] = xp[:, :, dy : dy + h, dx : dx + wd]
-    cols = cols.reshape(c * 9, n * h * wd)  # row c*9 + idx matches w.reshape(f, c*9)
+        cols[:, idx] = xp[:, dy : dy + h, dx : dx + wd]
+    cols = cols.reshape(c * 9, h * wd * n)  # row c*9 + idx matches w.reshape(f, c*9)
     out = w.reshape(f, c * 9) @ cols
     out += b[:, None]
-    return out.reshape(f, n, h, wd), cols
+    return out.reshape(f, h, wd, n), cols
 
 
 def _conv2d_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray, need_dx: bool):
-    """(dx, dW, db) for dout (F, N, H, W); dx is None unless need_dx."""
-    f, n, h, wd = dout.shape
+    """(dx, dW, db) for dout (F, H, W, N); dx is None unless need_dx."""
+    f, h, wd, n = dout.shape
     c = w.shape[1]
-    dout2 = dout.reshape(f, n * h * wd)
+    dout2 = dout.reshape(f, h * wd * n)
     dw = (dout2 @ cols.T).reshape(w.shape)
     db = dout2.sum(axis=1)
     if not need_dx:
         return None, dw, db
-    dcols = (w.reshape(f, c * 9).T @ dout2).reshape(c, 9, n, h, wd)
-    dxp = np.zeros((c, n, h + 2, wd + 2))
+    dcols = (w.reshape(f, c * 9).T @ dout2).reshape(c, 9, h, wd, n)
+    dxp = np.zeros((c, h + 2, wd + 2, n))
     for idx in range(9):
         dy, dx = divmod(idx, 3)
-        dxp[:, :, dy : dy + h, dx : dx + wd] += dcols[:, idx]
-    return dxp[:, :, 1 : h + 1, 1 : wd + 1], dw, db
+        dxp[:, dy : dy + h, dx : dx + wd] += dcols[:, idx]
+    return dxp[:, 1 : h + 1, 1 : wd + 1], dw, db
 
 
 def _avgpool2(x: np.ndarray) -> np.ndarray:
-    out = x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2]
-    out += x[:, :, 1::2, 0::2]
-    out += x[:, :, 1::2, 1::2]
+    c, h, w, n = x.shape
+    v = x.reshape(c, h // 2, 2, w // 2, 2, n)
+    out = v[:, :, 0, :, 0] + v[:, :, 0, :, 1]
+    out += v[:, :, 1, :, 0]
+    out += v[:, :, 1, :, 1]
     return np.multiply(out, 0.25, out=out)
 
 
 def _avgpool2_backward(dout: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Gradient through ReLU then 2x2 average pool: dout broadcasts to
-    (C, N, H/2, W/2) and mask is the (C, N, H, W) ReLU mask. Repeating
-    along W first keeps the broadcast write's inner loop W long, not 2."""
-    c, n, h, w = mask.shape
-    rows = np.repeat(np.broadcast_to(0.25 * dout, (c, n, h // 2, w // 2)), 2, axis=3)
-    dx = np.empty((c, n, h // 2, 2, w))
-    np.multiply(mask.reshape(dx.shape), rows[:, :, :, None], out=dx)
+    (C, H/2, W/2, N) and mask is the (C, H, W, N) ReLU mask. Repeating
+    along W first keeps the broadcast write's inner loop W*N long."""
+    c, h, w, n = mask.shape
+    rows = np.repeat(np.broadcast_to(0.25 * dout, (c, h // 2, w // 2, n)), 2, axis=2)
+    dx = np.empty((c, h // 2, 2, w, n))
+    np.multiply(mask.reshape(dx.shape), rows[:, :, None], out=dx)
     return dx.reshape(mask.shape)
 
 
@@ -236,25 +247,29 @@ class _BranchCache:
         self.relu_masks: list[np.ndarray] = []
 
 
-def _branch_forward(params: ParameterSet, branch: str, x: np.ndarray):
+def _branch_forward(params: ParameterSet, branch: str, x: np.ndarray,
+                    cache: _BranchCache | None):
+    """Branch embeddings (N, D); fills cache for the backward pass when
+    one is given. Without one, each layer's cols and conv output are
+    dropped as soon as the layer is pooled."""
     cfg = params.config
-    cache = _BranchCache()
-    cur = x.transpose(1, 0, 2, 3) - 0.5  # rasters arrive in [0, 1]; center them
+    cur = x.transpose(1, 2, 3, 0) - 0.5  # rasters arrive in [0, 1]; center them
     for i in range(cfg.blocks_per_branch):
         w = params.params[f"branch_{branch}/conv{i}/W"]
         b = params.params[f"branch_{branch}/conv{i}/b"]
         out, cols = _conv2d_forward(cur, w, b)
         np.maximum(out, 0.0, out=out)
-        cache.conv_cols.append(cols)
-        cache.relu_masks.append(out > 0)
+        if cache is not None:
+            cache.conv_cols.append(cols)
+            cache.relu_masks.append(out > 0)
         cur = _avgpool2(out)
-    cache.gap_in = cur
-    g = cur.mean(axis=(2, 3)).T  # (N, C_last)
-    cache.gap = g
+        del out, cols  # freed before the next layer allocates its own
+    g = cur.mean(axis=(1, 2)).T  # (N, C_last)
+    if cache is not None:
+        cache.gap_in, cache.gap = cur, g
     we = params.params[f"branch_{branch}/embed/W"]
     be = params.params[f"branch_{branch}/embed/b"]
-    emb = g @ we.T + be
-    return emb, cache
+    return g @ we.T + be
 
 
 def _branch_backward(params: ParameterSet, branch: str, cache: _BranchCache,
@@ -264,7 +279,7 @@ def _branch_backward(params: ParameterSet, branch: str, cache: _BranchCache,
     grads[f"branch_{branch}/embed/W"] += demb.T @ cache.gap
     grads[f"branch_{branch}/embed/b"] += demb.sum(axis=0)
     dg = demb @ we  # (N, C_last)
-    dcur = (dg.T / math.prod(cache.gap_in.shape[2:]))[:, :, None, None]  # broadcast over GAP input
+    dcur = (dg.T / math.prod(cache.gap_in.shape[1:3]))[:, None, None, :]  # broadcast over GAP input
     for i in reversed(range(cfg.blocks_per_branch)):
         dpre_relu = _avgpool2_backward(dcur, cache.relu_masks[i])
         wname = f"branch_{branch}/conv{i}/W"
@@ -298,11 +313,12 @@ def _as_batch(x: np.ndarray, channels: int, cfg: NetworkConfig, what: str) -> np
 HEAD_BRANCHES = {"a": ("a",), "b": ("b",), "joint": ("a", "b")}
 
 
-def _forward(params: ParameterSet, x_a, x_b, heads):
+def _forward(params: ParameterSet, x_a, x_b, heads, cached: bool = False):
     """(embeddings, probabilities, caches), keyed by branch or head, for the
-    requested heads and the branches they read. predict_score calls this
-    directly, so a profile or trace of forward_cached does not count
-    predict_score's work again."""
+    requested heads and the branches they read; caches is empty unless
+    cached. predict_score and harness.score_samples call this directly,
+    without caches, so a profile or trace of forward_cached counts only
+    the passes that feed a backward pass."""
     cfg = params.config
     if not heads or not set(heads) <= HEAD_BRANCHES.keys():
         raise ValueError(f"unknown head in {tuple(heads)!r}")
@@ -317,7 +333,9 @@ def _forward(params: ParameterSet, x_a, x_b, heads):
         raise ValueError("channel batches disagree in length")
     emb, caches = {}, {}
     for branch, x in inputs.items():
-        emb[branch], caches[branch] = _branch_forward(params, branch, x)
+        if cached:
+            caches[branch] = _BranchCache()
+        emb[branch] = _branch_forward(params, branch, x, caches.get(branch))
     if "joint" in heads:
         emb["joint"] = np.concatenate([emb["a"], emb["b"]], axis=1)
     return emb, {head: _head_forward(params, head, emb[head]) for head in heads}, caches
@@ -336,7 +354,7 @@ def forward_cached(
     head needs may be None; heads not requested, and embeddings and
     caches of branches not run, are NaN (None for caches).
     """
-    emb, probs, caches = _forward(params, x_a, x_b, heads)
+    emb, probs, caches = _forward(params, x_a, x_b, heads, cached=True)
     n = len(next(iter(probs.values())))
     nan = np.full((n, params.config.embedding_dim), np.nan)
     e_p, e_q = emb.get("a", nan), emb.get("b", nan)

@@ -89,6 +89,20 @@ class TestConfig:
         assert key in capsys.readouterr().err
         assert not out.exists()  # rejected before the run directory is made
 
+    @pytest.mark.parametrize("optimizer, key", [
+        ({"eps": 0.0}, "optimizer.eps"),
+        ({"eps": -1e-8}, "optimizer.eps"),
+        ({"weight_decay": -1.0}, "optimizer.weight_decay"),
+    ])
+    def test_optimizer_error_exit_code(self, tmp_path, dataset, capsys, optimizer, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**TINY, "optimizer": optimizer}))
+        out = tmp_path / "runs"
+        assert main(["train", "--data", str(dataset), "--config", str(bad),
+                     "--out", str(out), "--name", "bad"]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()  # rejected before the run directory is made
+
     @pytest.mark.parametrize("bad_cfg, key", [
         ({"generator": {"n_identities": "x"}}, "generator.n_identities"),
         ({"generator": {"attack_types": 5}}, "generator.attack_types"),

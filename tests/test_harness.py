@@ -1,12 +1,14 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cmpad import harness
-from cmpad.datagen import GeneratorSpec, generate
+from cmpad.datagen import GeneratorSpec, MultiModalSample, generate
 from cmpad.datasets import make_grandtest, make_loo
 from cmpad.errors import DataError
 from cmpad.harness import (
@@ -25,7 +27,10 @@ from cmpad.harness import (
 )
 from cmpad.losses import LossParams, binary_ce
 from cmpad.metrics import read_score_file
-from cmpad.network import forward_cached, backward, backward_from_head_grads, save_checkpoint
+from cmpad.network import (
+    NetworkConfig, backward, backward_from_head_grads, forward_cached, init_network,
+    save_checkpoint,
+)
 from tests.conftest import TINY_SPEC, TINY_TRAIN
 
 
@@ -230,6 +235,36 @@ class TestGammaSweep:
             assert np.max(np.abs(grads[name] - ref[name])) <= 1e-12, name
 
 
+class TestScoringKeepsNoCaches:
+    def test_bit_equal_to_forward_cached_at_lower_peak(self):
+        desk = json.loads((Path(__file__).resolve().parents[1] / "configs" / "desk.json").read_text())
+        cfg = NetworkConfig(**desk["network"])
+        params = init_network(cfg)
+        rng = np.random.default_rng(3)
+        n, size = 144, (cfg.input_height, cfg.input_width)
+        xa, xb = rng.random((n, cfg.channels_a, *size)), rng.random((n, cfg.channels_b, *size))
+        group = [
+            MultiModalSample(id=f"s{i}", identity="i0", x_a=xa[i], x_b=xb[i], label=i % 2,
+                             attack_type="bonafide" if i % 2 else "A_VISIBLE")
+            for i in range(n)
+        ]
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                result = fn()
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        records, score_peak = traced_peak(lambda: score_samples(params, group))
+        (out, _), cached_peak = traced_peak(lambda: forward_cached(params, xa, xb))
+        for field_name, probs in (("score_p", out.p), ("score_q", out.q), ("score_r", out.r)):
+            np.testing.assert_array_equal([getattr(r, field_name) for r in records], probs)
+        # the scoring peak includes stacking the inputs; forward_cached's does not
+        assert score_peak <= 0.6 * cached_peak, (score_peak, cached_peak)
+
+
 class TestSingleChannelStudy:
     def test_cells_and_medians(self, tiny_samples, tiny_records, tiny_cfg, tmp_path):
         study = run_single_channel_study(
@@ -246,13 +281,13 @@ class TestSingleChannelStudy:
     def test_each_leg_scored_once(self, tiny_samples, tiny_records, tiny_cfg, tmp_path,
                                   monkeypatch):
         calls = []
-        real = harness.forward_cached
+        real = harness._forward
 
         def spy(params, x_a, x_b, heads):
             calls.append(heads)
             return real(params, x_a, x_b, heads)
 
-        monkeypatch.setattr(harness, "forward_cached", spy)
+        monkeypatch.setattr(harness, "_forward", spy)
         studies = []
         for run in ("r1", "r2"):
             calls.clear()

@@ -75,57 +75,64 @@ class TestInit:
         ps = init_network(cfg)
         xa, xb, _ = rand_batch(2, cfg)
         _, (cache_a, _) = forward_cached(ps, xa, xb)
-        assert cache_a.gap_in.shape[2:] == (4, 4)  # 32 / 2^3
+        assert cache_a.gap_in.shape[1:3] == (4, 4)  # 32 / 2^3
 
 
 def conv_reference(x, w, b):
-    """Direct same-padding 3x3 convolution of a channel-major batch (C, N, H, W)."""
-    _, _, h, wd = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    """Direct same-padding 3x3 convolution of a batch-innermost batch (C, H, W, N)."""
+    _, h, wd, _ = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
     out = np.zeros((w.shape[0],) + x.shape[1:])
     for dy in range(3):
         for dx in range(3):
-            out += np.einsum("fc,cnhw->fnhw", w[:, :, dy, dx], xp[:, :, dy : dy + h, dx : dx + wd])
+            out += np.einsum("fc,chwn->fhwn", w[:, :, dy, dx], xp[:, dy : dy + h, dx : dx + wd])
     return out + b[:, None, None, None]
 
 
-PRIMITIVE_SHAPES = [(c, n, h) for c in (1, 3, 8) for n in (1, 5) for h in (4, 8)]
+# (C, H, W, N). Square cases keep their "C-N-H" ids; in the non-square ones
+# H != W and N = 5 is neither, so a misread or swapped axis fails.
+PRIMITIVE_SHAPES = [
+    pytest.param(c, h, h, n, id=f"{c}-{n}-{h}") for c in (1, 3, 8) for n in (1, 5) for h in (4, 8)
+] + [
+    pytest.param(c, h, w, n, id=f"{c}-{h}x{w}-{n}")
+    for c in (1, 3, 8) for h, w in ((4, 6), (6, 2)) for n in (1, 5)
+]
 
 
 class TestPrimitives:
-    @pytest.mark.parametrize("c,n,h", PRIMITIVE_SHAPES)
-    def test_conv_forward_matches_direct_convolution(self, c, n, h):
-        rng = np.random.default_rng(c * 100 + n * 10 + h)
-        x, w, b = rng.random((c, n, h, h)), rng.normal(size=(4, c, 3, 3)), rng.normal(size=4)
-        out, cols = _conv2d_forward(x, w, b)
-        assert out.shape == (4, n, h, h) and cols.shape == (c * 9, n * h * h)
-        np.testing.assert_allclose(out, conv_reference(x, w, b), rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("c,h,w,n", PRIMITIVE_SHAPES)
+    def test_conv_forward_matches_direct_convolution(self, c, h, w, n):
+        rng = np.random.default_rng(c * 1000 + h * 100 + w * 10 + n)
+        x, wt, b = rng.random((c, h, w, n)), rng.normal(size=(4, c, 3, 3)), rng.normal(size=4)
+        out, cols = _conv2d_forward(x, wt, b)
+        assert out.shape == (4, h, w, n) and cols.shape == (c * 9, h * w * n)
+        np.testing.assert_allclose(out, conv_reference(x, wt, b), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("c,n,h", PRIMITIVE_SHAPES)
-    def test_conv_backward_is_adjoint(self, c, n, h):
-        rng = np.random.default_rng(c * 100 + n * 10 + h + 1)
-        x, w, b = rng.normal(size=(c, n, h, h)), rng.normal(size=(4, c, 3, 3)), rng.normal(size=4)
-        dout = rng.normal(size=(4, n, h, h))
-        out, cols = _conv2d_forward(x, w, np.zeros(4))
-        dx, dw, db = _conv2d_backward(dout, cols, w, need_dx=True)
+    @pytest.mark.parametrize("c,h,w,n", PRIMITIVE_SHAPES)
+    def test_conv_backward_is_adjoint(self, c, h, w, n):
+        rng = np.random.default_rng(c * 1000 + h * 100 + w * 10 + n + 1)
+        x, wt, b = rng.normal(size=(c, h, w, n)), rng.normal(size=(4, c, 3, 3)), rng.normal(size=4)
+        dout = rng.normal(size=(4, h, w, n))
+        out, cols = _conv2d_forward(x, wt, np.zeros(4))
+        dx, dw, db = _conv2d_backward(dout, cols, wt, need_dx=True)
         inner = np.vdot(dout, out)
-        for other in (np.vdot(dx, x), np.vdot(dw, w)):
+        for other in (np.vdot(dx, x), np.vdot(dw, wt)):
             assert abs(inner - other) <= 1e-12 * abs(inner)
-        with_bias, _ = _conv2d_forward(x, w, b)
+        with_bias, _ = _conv2d_forward(x, wt, b)
         bias_part = np.vdot(dout, with_bias) - inner
         assert abs(bias_part - np.vdot(db, b)) <= 1e-12 * np.abs(dout).sum() * np.abs(b).max()
-        no_dx, dw2, db2 = _conv2d_backward(dout, cols, w, need_dx=False)
+        no_dx, dw2, db2 = _conv2d_backward(dout, cols, wt, need_dx=False)
         assert no_dx is None
         np.testing.assert_array_equal(dw2, dw)
         np.testing.assert_array_equal(db2, db)
 
-    @pytest.mark.parametrize("c,n,h", PRIMITIVE_SHAPES)
-    def test_pool_backward_is_adjoint(self, c, n, h):
-        rng = np.random.default_rng(c * 100 + n * 10 + h + 2)
-        x, y = rng.normal(size=(c, n, h, h)), rng.normal(size=(c, n, h // 2, h // 2))
+    @pytest.mark.parametrize("c,h,w,n", PRIMITIVE_SHAPES)
+    def test_pool_backward_is_adjoint(self, c, h, w, n):
+        rng = np.random.default_rng(c * 1000 + h * 100 + w * 10 + n + 2)
+        x, y = rng.normal(size=(c, h, w, n)), rng.normal(size=(c, h // 2, w // 2, n))
         pooled = _avgpool2(x)
         np.testing.assert_allclose(
-            pooled, x.reshape(c, n, h // 2, 2, h // 2, 2).mean(axis=(3, 5)), rtol=0, atol=1e-15
+            pooled, x.reshape(c, h // 2, 2, w // 2, 2, n).mean(axis=(2, 4)), rtol=0, atol=1e-15
         )
         back = _avgpool2_backward(y, np.ones(x.shape, dtype=bool))
         scale = np.abs(x).sum() * np.abs(y).max()
