@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -102,6 +103,15 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
+def _finite_json_number(token: str) -> float:
+    """A JSON number or constant as a float; NaN, Infinity and literals that
+    overflow to infinity are rejected."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token}")
+    return value
+
+
 def load_effective_config(config_path: str | None, overrides: dict) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if config_path is not None:
@@ -109,8 +119,10 @@ def load_effective_config(config_path: str | None, overrides: dict) -> dict:
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            file_cfg = json.loads(path.read_text())
-        except ValueError as exc:  # bad UTF-8 or JSON
+            file_cfg = json.loads(
+                path.read_text(), parse_constant=_finite_json_number, parse_float=_finite_json_number
+            )
+        except ValueError as exc:  # bad UTF-8 or JSON, or a non-finite number
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
@@ -243,7 +255,7 @@ def open_run(args, cfg: dict, with_split: bool = False):
     split = None
     if with_split:
         split = protocol_split(
-            records, protocol["ratios"], protocol["protocol_seed"], cfg["train"]["seed"],
+            records, protocol["ratios"], protocol["protocol_seed"],
             attack=getattr(args, "attack", None),
         )
     out = Path(cfg["out_root"]) / args.name
@@ -389,13 +401,17 @@ def _add_common(p: argparse.ArgumentParser, needs_data=True, trains=True) -> Non
         p.add_argument("--epochs", type=int, help="training epochs override")
 
 
-def _comma_list(kind: type):
-    """An argparse type that reads a comma-separated list of `kind`."""
+def _comma_list(kind: type, minimum: float = -math.inf):
+    """An argparse type that reads a non-empty comma-separated list of
+    finite `kind` values, none below `minimum`."""
     def parse(text: str) -> list:
         try:
-            return [kind(x) for x in text.split(",") if x != ""]
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"bad {kind.__name__} list: {text!r}") from exc
+            values = [kind(x) for x in text.split(",") if x != ""]
+        except ValueError:
+            values = []
+        if not values or not all(math.isfinite(v) and v >= minimum for v in values):
+            raise argparse.ArgumentTypeError(f"bad {kind.__name__} list: {text!r}")
+        return values
     return parse
 
 
@@ -430,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-gamma", help="focusing-exponent ablation")
     _add_common(p)
     p.add_argument(
-        "--gammas", type=_comma_list(float), default=[0.0, 1.0, 2.0, 3.0, 4.0],
-        help="comma-separated gamma grid (default 0,1,2,3,4)",
+        "--gammas", type=_comma_list(float, minimum=0.0), default=[0.0, 1.0, 2.0, 3.0, 4.0],
+        help="comma-separated gamma grid, each >= 0 (default 0,1,2,3,4)",
     )
     p.set_defaults(func=cmd_sweep_gamma)
 

@@ -44,7 +44,7 @@ from .network import (
     save_checkpoint,
 )
 
-_STREAM_LABELS = {"init": 11, "shuffle": 23, "augment": 37, "protocol": 53}
+_STREAM_LABELS = {"init": 11, "shuffle": 23, "augment": 37}
 
 
 @dataclass(frozen=True)
@@ -182,30 +182,19 @@ def train(
 # scoring and evaluation
 
 
-def _loaded_heads(group: Sequence[MultiModalSample]) -> tuple[str, ...]:
-    """The heads a sample group's loaded channels can serve."""
-    if any(s.x_a is None for s in group):
-        return ("b",)
-    if any(s.x_b is None for s in group):
-        return ("a",)
-    return ("a", "b", "joint")
-
-
 def score_samples(
     params: ParameterSet, group: Sequence[MultiModalSample]
 ) -> list[ScoreRecord]:
-    """ScoreRecords for a sample group from every head its loaded channels
-    can serve; the other heads are NaN. No backward caches are kept."""
-    heads = _loaded_heads(group)
-    needed = {branch for head in heads for branch in HEAD_BRANCHES[head]}
-    x = {c: _stack(group, c, params.config) if c in needed else None for c in ("a", "b")}
-    probs = _forward(params, x["a"], x["b"], heads)[1]
-    nan = np.full(len(group), np.nan)
-    p, q, r = (probs.get(head, nan) for head in ("a", "b", "joint"))
+    """ScoreRecords for a sample group from every channel it has loaded; a
+    head whose channels are not all loaded is NaN. No backward caches are
+    kept."""
+    x_a = _stack(group, "a", params.config) if all(s.x_a is not None for s in group) else None
+    x_b = _stack(group, "b", params.config) if all(s.x_b is not None for s in group) else None
+    out, _ = _forward(params, x_a, x_b)
     return [
         ScoreRecord(
             sample_id=s.id, label=s.label, attack_type=s.attack_type,
-            score_p=float(p[i]), score_q=float(q[i]), score_r=float(r[i]),
+            score_p=float(out.p[i]), score_q=float(out.q[i]), score_r=float(out.r[i]),
         )
         for i, s in enumerate(group)
     ]
@@ -222,13 +211,16 @@ def evaluate(
 ) -> tuple[MetricsReport, list[ScoreRecord], list[ScoreRecord]]:
     """Score dev and eval folds, pick the threshold on dev, report on eval.
 
-    With head 'a' or 'b' only that branch is run, so the other channel
-    is never touched; the score files then carry NaN for the heads that
-    were not computed.
+    `head` needs only its own channels loaded, but every head the loaded
+    channels allow is scored (`score_samples`); the score files carry NaN
+    for the others. With only channel A loaded, only branch A runs.
     """
+    if head not in HEAD_BRANCHES:
+        raise ValueError(f"unknown head {head!r}")
     dev_group = [samples[sid] for sid in split.dev]
     eval_group = [samples[sid] for sid in split.eval]
-    if head not in _loaded_heads(dev_group + eval_group):
+    group = dev_group + eval_group
+    if any(getattr(s, f"x_{b}") is None for b in HEAD_BRANCHES[head] for s in group):
         raise DataError(f"head {head!r} needs channels that are not loaded")
     dev_records = score_samples(params, dev_group)
     eval_records = score_samples(params, eval_group)
@@ -268,14 +260,11 @@ def evaluate(
 def protocol_split(
     records: Sequence[ManifestRecord],
     ratios: Sequence[float] = (0.5, 0.25, 0.25),
-    protocol_seed: int | None = None,
-    master_seed: int = 0,
+    protocol_seed: int = 0,
     attack: str | None = None,
 ) -> ProtocolSplit:
     """The validated grandtest split, or the leave-one-out split holding out
-    `attack`; without a `protocol_seed` the seed derives from `master_seed`."""
-    if protocol_seed is None:
-        protocol_seed = _derived_seed(master_seed, "protocol")
+    `attack`."""
     if attack is None:
         split = make_grandtest(records, ratios=ratios, seed=protocol_seed)
     else:
@@ -316,7 +305,7 @@ def run_loo(
     cfg: TrainConfig,
     out_dir: str | Path | None = None,
     ratios: Sequence[float] = (0.5, 0.25, 0.25),
-    protocol_seed: int | None = None,
+    protocol_seed: int = 0,
     bpcer_target: float = 0.01,
 ) -> ExperimentResult:
     """One leg per attack type, leave-one-out; aggregates ACER."""
@@ -327,7 +316,7 @@ def run_loo(
     pool = by_id(samples)
     rows = []
     for attack in attacks:
-        split = protocol_split(records, ratios, protocol_seed, cfg.seed, attack=attack)
+        split = protocol_split(records, ratios, protocol_seed, attack=attack)
         leg_dir = Path(out_dir) / split.name if out_dir is not None else None
         _, report, _, _ = run_leg(split, pool, cfg, bpcer_target=bpcer_target, out_dir=leg_dir)
         rows.append(ProtocolOutcome(split.name, attack, report))
@@ -372,15 +361,13 @@ def run_gamma_sweep(
     gammas: Sequence[float] = (0.0, 1.0, 2.0, 3.0, 4.0),
     out_dir: str | Path | None = None,
     ratios: Sequence[float] = (0.5, 0.25, 0.25),
-    protocol_seed: int | None = None,
+    protocol_seed: int = 0,
     bpcer_target: float = 0.01,
 ) -> dict[float, ExperimentResult]:
     """Full leave-one-out run per focusing exponent; gamma 0 is the
     plain-BCE baseline by construction."""
     if len(gammas) == 0:
         raise ValueError("gamma list must be non-empty")
-    if any(g < 0 for g in gammas):
-        raise ValueError("gamma must be >= 0")
     results = {}
     for gamma in gammas:
         sweep_cfg = replace(cfg, loss=replace(cfg.loss, gamma=float(gamma)))
@@ -399,7 +386,7 @@ def run_single_channel_study(
     seeds: Sequence[int] = (0, 1, 2, 3, 4),
     out_dir: str | Path | None = None,
     ratios: Sequence[float] = (0.5, 0.25, 0.25),
-    protocol_seed: int | None = None,
+    protocol_seed: int = 0,
     bpcer_target: float = 0.01,
 ) -> dict:
     """2x2 design: {BCE (gamma 0), cross-modal focal (cfg.loss.gamma)} x {head a, b}.
@@ -408,7 +395,7 @@ def run_single_channel_study(
     protocol, then thresholds each head on dev separately. Reports
     per-seed ACERs and the across-seed median per cell.
     """
-    split = protocol_split(records, ratios, protocol_seed, cfg.seed)
+    split = protocol_split(records, ratios, protocol_seed)
     pool = by_id(samples)
     variants = {"bce": 0.0, "cmfl": float(cfg.loss.gamma)}
     per_seed: dict[str, list[float]] = {
@@ -445,7 +432,7 @@ def run_cross_dataset(
     cfg: TrainConfig,
     out_dir: str | Path | None = None,
     ratios: Sequence[float] = (0.5, 0.25, 0.25),
-    protocol_seed: int | None = None,
+    protocol_seed: int = 0,
 ) -> dict:
     """Train on the source grandtest protocol, pick the EER threshold on the
     source dev fold, and report HTER on the target eval fold (plus the
@@ -461,8 +448,8 @@ def run_cross_dataset(
             f"incompatible shapes between datasets: "
             f"{shape_of(src_samples)} vs {shape_of(tgt_samples)}"
         )
-    src_split = protocol_split(src_records, ratios, protocol_seed, cfg.seed)
-    tgt_split = protocol_split(tgt_records, ratios, protocol_seed, cfg.seed)
+    src_split = protocol_split(src_records, ratios, protocol_seed)
+    tgt_split = protocol_split(tgt_records, ratios, protocol_seed)
     tgt_pool = by_id(tgt_samples)
     params, intra, dev_records, intra_records = run_leg(
         src_split, by_id(src_samples), cfg, threshold_rule="eer"

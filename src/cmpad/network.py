@@ -309,59 +309,50 @@ def _as_batch(x: np.ndarray, channels: int, cfg: NetworkConfig, what: str) -> np
     return arr
 
 
-# Branches each head reads; a forward pass runs only the ones its heads need.
+# Branches each head reads; a pass computes a head only when all of them ran.
 HEAD_BRANCHES = {"a": ("a",), "b": ("b",), "joint": ("a", "b")}
 
 
-def _forward(params: ParameterSet, x_a, x_b, heads, cached: bool = False):
-    """(embeddings, probabilities, caches), keyed by branch or head, for the
-    requested heads and the branches they read; caches is empty unless
-    cached. predict_score and harness.score_samples call this directly,
-    without caches, so a profile or trace of forward_cached counts only
-    the passes that feed a backward pass."""
+def _forward(params: ParameterSet, x_a, x_b, cached: bool = False):
+    """(ForwardOutput, caches): a branch runs when its channel is not None,
+    and a head whose branches did not run is NaN, as is the embedding of
+    a branch not run. caches holds the branches run when cached, else is
+    empty. predict_score and harness.score_samples call this uncached, so
+    a trace of forward_cached counts only passes that feed a backward."""
     cfg = params.config
-    if not heads or not set(heads) <= HEAD_BRANCHES.keys():
-        raise ValueError(f"unknown head in {tuple(heads)!r}")
-    needed = {branch for head in heads for branch in HEAD_BRANCHES[head]}
     inputs = {}
     for branch, x, depth in (("a", x_a, cfg.channels_a), ("b", x_b, cfg.channels_b)):
-        if branch in needed:
-            if x is None:
-                raise ValueError(f"channel unavailable for head: need channel {branch.upper()}")
+        if x is not None:
             inputs[branch] = _as_batch(x, depth, cfg, f"channel-{branch.upper()} input")
-    if len({x.shape[0] for x in inputs.values()}) > 1:
-        raise ValueError("channel batches disagree in length")
+    sizes = {x.shape[0] for x in inputs.values()}
+    if len(sizes) != 1:
+        raise ValueError("channel batches disagree in length" if sizes else "no channel given")
     emb, caches = {}, {}
     for branch, x in inputs.items():
         if cached:
             caches[branch] = _BranchCache()
         emb[branch] = _branch_forward(params, branch, x, caches.get(branch))
-    if "joint" in heads:
-        emb["joint"] = np.concatenate([emb["a"], emb["b"]], axis=1)
-    return emb, {head: _head_forward(params, head, emb[head]) for head in heads}, caches
+    (n,) = sizes
+    absent = np.full((n, cfg.embedding_dim), np.nan)
+    e_p, e_q = emb.get("a", absent), emb.get("b", absent)
+    e_r = np.concatenate([e_p, e_q], axis=1)
+    p, q, r = (
+        _head_forward(params, head, e) if set(HEAD_BRANCHES[head]) <= emb.keys()
+        else np.full(n, np.nan)
+        for head, e in (("a", e_p), ("b", e_q), ("joint", e_r))
+    )
+    return ForwardOutput(e_p=e_p, e_q=e_q, e_r=e_r, p=p, q=q, r=r), caches
 
 
 def forward_cached(
-    params: ParameterSet,
-    x_a: np.ndarray | None,
-    x_b: np.ndarray | None,
-    heads: Sequence[str] = ("a", "b", "joint"),
+    params: ParameterSet, x_a: np.ndarray, x_b: np.ndarray
 ) -> tuple[ForwardOutput, tuple]:
-    """Head probabilities for a batch, plus the per-branch caches that
-    `backward_from_head_grads` needs.
-
-    Only the branches the requested heads read are run, so a channel no
-    head needs may be None; heads not requested, and embeddings and
-    caches of branches not run, are NaN (None for caches).
-    """
-    emb, probs, caches = _forward(params, x_a, x_b, heads, cached=True)
-    n = len(next(iter(probs.values())))
-    nan = np.full((n, params.config.embedding_dim), np.nan)
-    e_p, e_q = emb.get("a", nan), emb.get("b", nan)
-    p, q, r = (probs.get(head, np.full(n, np.nan)) for head in ("a", "b", "joint"))
-    e_r = emb["joint"] if "joint" in emb else np.concatenate([e_p, e_q], axis=1)
-    out = ForwardOutput(e_p=e_p, e_q=e_q, e_r=e_r, p=p, q=q, r=r)
-    return out, (caches.get("a"), caches.get("b"))
+    """Head probabilities for a batch of both channels, plus the
+    per-branch caches that `backward_from_head_grads` needs."""
+    if x_a is None or x_b is None:
+        raise ValueError("forward_cached needs both channels")
+    out, caches = _forward(params, x_a, x_b, cached=True)
+    return out, (caches["a"], caches["b"])
 
 
 def backward_from_head_grads(
@@ -429,22 +420,19 @@ def adam_step(
     """One Adam update with bias correction and decoupled weight decay
     (a multiplicative shrink applied before the moment update). Pure:
     returns a new ParameterSet, leaving the input untouched."""
-    out = params.copy()
-    out.step = params.step + 1
-    t = out.step
+    t = params.step + 1
     bc1 = 1.0 - opt.beta1**t
     bc2 = 1.0 - opt.beta2**t
-    for name in sorted(out.params):
+    new_params, new_m, new_v = {}, {}, {}
+    for name, weight in params.params.items():
         g = grads[name]
-        theta = out.params[name] * (1.0 - opt.learning_rate * opt.weight_decay)
-        m = opt.beta1 * out.adam_m[name] + (1.0 - opt.beta1) * g
-        v = opt.beta2 * out.adam_v[name] + (1.0 - opt.beta2) * g * g
-        out.adam_m[name] = m
-        out.adam_v[name] = v
-        out.params[name] = theta - opt.learning_rate * (m / bc1) / (
+        theta = weight * (1.0 - opt.learning_rate * opt.weight_decay)
+        m = new_m[name] = opt.beta1 * params.adam_m[name] + (1.0 - opt.beta1) * g
+        v = new_v[name] = opt.beta2 * params.adam_v[name] + (1.0 - opt.beta2) * g * g
+        new_params[name] = theta - opt.learning_rate * (m / bc1) / (
             np.sqrt(v / bc2) + opt.eps
         )
-    return out
+    return ParameterSet(params.config, new_params, new_m, new_v, t)
 
 
 def predict_score(
@@ -458,8 +446,15 @@ def predict_score(
     head='a' touches only channel A and branch-A/head-A parameters, so
     it works with channel B absent (and vice versa); 'joint' needs both.
     """
-    scores = _forward(params, x_a, x_b, (head,))[1][head]
-    single = any(np.ndim(x_a if b == "a" else x_b) == 3 for b in HEAD_BRANCHES[head])
+    if head not in HEAD_BRANCHES:
+        raise ValueError(f"unknown head {head!r}")
+    given = {b: x for b, x in (("a", x_a), ("b", x_b)) if b in HEAD_BRANCHES[head]}
+    missing = [b.upper() for b, x in given.items() if x is None]
+    if missing:
+        raise ValueError(f"channel unavailable for head: need channel {missing[0]}")
+    out, _ = _forward(params, given.get("a"), given.get("b"))
+    scores = {"a": out.p, "b": out.q, "joint": out.r}[head]
+    single = any(np.ndim(x) == 3 for x in given.values())
     return float(scores[0]) if single and scores.shape[0] == 1 else scores
 
 

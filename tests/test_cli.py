@@ -126,6 +126,42 @@ class TestConfig:
         assert main(["gen-data", str(tmp_path / "ds"), "--config", str(bad)]) == 2
         assert str(bad) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, literal", [
+        ("generator", "noise_sigma", "NaN"),
+        ("loss", "gamma", "NaN"),
+        ("loss", "alpha_attack", "NaN"),
+        ("loss", "gamma", "Infinity"),
+        ("loss", "gamma", "-Infinity"),
+        ("loss", "gamma", "1e400"),  # overflows to inf as a float
+    ])
+    def test_non_finite_number_exit_code(self, tmp_path, dataset, capsys, section, key,
+                                         literal):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**TINY, section: {key: "@"}}).replace('"@"', literal))
+        out = tmp_path / "runs"
+        assert main(["gen-data", str(out / "ds"), "--config", str(bad)]) == 2
+        assert main(["train", "--data", str(dataset), "--config", str(bad),
+                     "--out", str(out), "--name", "bad"]) == 2
+        assert capsys.readouterr().err.count(f"non-finite number {literal}") == 2
+        assert not out.exists()  # rejected before any output directory is made
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-gamma", "--gammas=-1"],
+        ["sweep-gamma", "--gammas", ""],
+        ["sweep-gamma", "--gammas", "0,nan"],
+        ["sweep-gamma", "--gammas", "inf"],
+        ["single-channel", "--seeds", ""],
+        ["single-channel", "--seeds", ","],
+    ])
+    def test_bad_list_flag_exit_code(self, tmp_path, tiny_config, dataset, capsys, argv):
+        out = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--data", str(dataset), "--config", str(tiny_config),
+                  "--out", str(out), "--name", "bad"])
+        assert exc.value.code == 2
+        assert argv[1].split("=")[0] in capsys.readouterr().err
+        assert not out.exists()  # rejected before the run directory is made
+
     def test_defaults_documented_complete(self):
         cfg = load_effective_config(None, {})
         assert cfg == DEFAULT_CONFIG

@@ -283,9 +283,9 @@ class TestSingleChannelStudy:
         calls = []
         real = harness._forward
 
-        def spy(params, x_a, x_b, heads):
-            calls.append(heads)
-            return real(params, x_a, x_b, heads)
+        def spy(params, x_a, x_b, cached=False):
+            calls.append((x_a is not None, x_b is not None, cached))
+            return real(params, x_a, x_b, cached)
 
         monkeypatch.setattr(harness, "_forward", spy)
         studies = []
@@ -294,8 +294,9 @@ class TestSingleChannelStudy:
             run_single_channel_study(
                 tiny_samples, tiny_records, tiny_cfg, seeds=(0,), out_dir=tmp_path / run
             )
-            # 2 legs (bce, cmfl), each scored on dev and on eval, all heads at once
-            assert calls == [("a", "b", "joint")] * 4
+            # 2 legs (bce, cmfl), each scored on dev and on eval, both channels at
+            # once and without backward caches
+            assert calls == [(True, True, False)] * 4
             studies.append((tmp_path / run / "single_channel_study.json").read_bytes())
         assert studies[0] == studies[1]
 

@@ -13,6 +13,7 @@ from cmpad.network import (
     _avgpool2_backward,
     _conv2d_backward,
     _conv2d_forward,
+    _forward,
     ForwardOutput,
     NetworkConfig,
     OptimizerConfig,
@@ -174,20 +175,25 @@ class TestForward:
         with pytest.raises(ValueError, match="incompatible"):
             forward_cached(ps, xa[:, :, :8, :], xb)
 
-    def test_requested_heads_only(self):
+    def test_heads_follow_channels_given(self):
         ps = init_network(CFG)
         xa, xb, _ = rand_batch(3)
         full, _ = forward_cached(ps, xa, xb)
-        out, (cache_a, cache_b) = forward_cached(ps, xa, None, heads=("a",))
-        np.testing.assert_array_equal(out.p, full.p)
-        np.testing.assert_array_equal(out.e_p, full.e_p)
-        assert np.isnan(out.q).all() and np.isnan(out.r).all() and np.isnan(out.e_q).all()
-        assert cache_a is not None and cache_b is None
-        out, _ = forward_cached(ps, xa, xb, heads=("joint",))
-        np.testing.assert_array_equal(out.r, full.r)
-        assert np.isnan(out.p).all() and np.isnan(out.q).all()
+        for cached in (False, True):
+            out, caches = _forward(ps, xa, None, cached=cached)
+            np.testing.assert_array_equal(out.p, full.p)
+            np.testing.assert_array_equal(out.e_p, full.e_p)
+            assert np.isnan(out.q).all() and np.isnan(out.r).all() and np.isnan(out.e_q).all()
+            assert set(caches) == ({"a"} if cached else set())
+        out, _ = _forward(ps, None, xb)
+        np.testing.assert_array_equal(out.q, full.q)
+        assert np.isnan(out.p).all() and np.isnan(out.r).all()
+        with pytest.raises(ValueError, match="no channel"):
+            _forward(ps, None, None)
+        with pytest.raises(ValueError, match="both channels"):
+            forward_cached(ps, xa, None)
         with pytest.raises(ValueError, match="unknown head"):
-            forward_cached(ps, xa, xb, heads=("c",))
+            predict_score(ps, xa, xb, head="c")
 
     def test_saturating_logits_stay_inside_unit_interval(self):
         ps = init_network(CFG)
