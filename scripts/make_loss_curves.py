@@ -10,22 +10,22 @@ the CE column by construction.
 
 import argparse
 
+from cmpad.cli import _comma_list
 from cmpad.harness import emit_loss_curves
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--gammas", default="3", help="comma-separated exponents")
+    float_list = _comma_list(float, minimum=0.0)
+    parser.add_argument("--gammas", type=float_list, default="3", help="comma-separated exponents")
     parser.add_argument(
-        "--q-values", default="0,0.1,0.3,0.5,0.7,0.9,1",
+        "--q-values", type=float_list, default="0,0.1,0.3,0.5,0.7,0.9,1",
         help="comma-separated other-branch confidences",
     )
     parser.add_argument("--out", default="losscurve.tsv")
     args = parser.parse_args()
 
-    gammas = tuple(float(x) for x in args.gammas.split(","))
-    qs = tuple(float(x) for x in args.q_values.split(","))
-    result = emit_loss_curves(gammas=gammas, q_values=qs, out_path=args.out)
+    result = emit_loss_curves(gammas=args.gammas, q_values=args.q_values, out_path=args.out)
     print(f"wrote {args.out}: {len(result['p'])} rows, {len(result['curves'])} curves")
 
 

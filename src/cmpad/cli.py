@@ -9,8 +9,8 @@ from the echoed config reproduces the run bit-exactly.
 Exit codes: 0 success, 2 config error, 3 data error, 4 runtime error.
 
 The built-in defaults are the desk-scale profile (32x32 images, small
-backbone, 10 epochs); they train in CPU-minutes. The dataclass defaults
-in network/harness keep the full-scale values for reference.
+backbone, 10 epochs); they train in CPU-minutes. Every section but
+`protocol` is built from a config dataclass, whose defaults are these.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .datagen import ATTACK_TYPES, BONAFIDE, GeneratorSpec, generate, oracle_separability
+from .datagen import BONAFIDE, GeneratorSpec, generate, oracle_separability
 from .datasets import ProtocolSplit, load_dataset, save_dataset
 from .errors import CmpadError, ConfigError, DataError
 from .harness import (
@@ -45,46 +45,23 @@ from .network import (
     HEAD_BRANCHES, NetworkConfig, OptimizerConfig, ParameterSet, load_checkpoint, save_checkpoint,
 )
 
-DEFAULT_CONFIG: dict = {
-    "out_root": "runs",
-    "generator": {
-        "image_size": 32,
-        "n_identities": 12,
-        "samples_per_identity": 12,
-        "attack_types": list(ATTACK_TYPES),
-        "attack_strength": 0.5,
-        "noise_sigma": 0.05,
-        "channels_a": 3,
-        "channels_b": 1,
-        "seed": 7,
-    },
-    "network": {
-        "input_height": 32,
-        "input_width": 32,
-        "channels_a": 3,
-        "channels_b": 1,
-        "blocks_per_branch": 3,
-        "base_filters": 8,
-        "embedding_dim": 16,
-        "seed": 0,
-    },
-    "optimizer": {
-        "learning_rate": 3e-3,
-        "weight_decay": 1e-5,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "eps": 1e-8,
-    },
-    "loss": {
-        "alpha_bonafide": 1.0,
-        "alpha_attack": 1.0,
-        "gamma": 3.0,
-        "mix_lambda": 0.5,
-        "detach_weight": False,
-    },
-    "train": {"epochs": 10, "batch_size": 32, "hflip_prob": 0.5, "seed": 0},
-    "protocol": {"ratios": [0.5, 0.25, 0.25], "seed": 0, "bpcer_target": 0.01},
-}
+def _built_in_defaults() -> dict:
+    """The dataclass defaults as a config document; the JSON round trip
+    gives every value its JSON type (attack_types becomes a list). No
+    dataclass backs `out_root` or `protocol`."""
+    train = asdict(TrainConfig())
+    return json.loads(json.dumps({
+        "out_root": "runs",
+        "generator": asdict(GeneratorSpec()),
+        "network": train.pop("network"),
+        "optimizer": train.pop("optimizer"),
+        "loss": train.pop("loss"),
+        "train": train,
+        "protocol": {"ratios": [0.5, 0.25, 0.25], "seed": 0, "bpcer_target": 0.01},
+    }))
+
+
+DEFAULT_CONFIG: dict = _built_in_defaults()
 
 
 def _merge_config(base: dict, override: dict, path: str = "") -> dict:
@@ -183,6 +160,17 @@ def _pct(x: float) -> str:
     return f"{100.0 * x:.2f}"
 
 
+def _check_output_dir(out: Path, force: bool, what: str) -> None:
+    """Refuses `out` before anything is written to it: when it or a parent
+    exists but is not a directory, or when it is a non-empty directory and
+    `force` is not set."""
+    blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+    if blocker is not None:
+        raise DataError(f"{what} {out}: {blocker} is not a directory")
+    if out.exists() and any(out.iterdir()) and not force:
+        raise DataError(f"{what} {out} is not empty (use --force)")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -190,8 +178,7 @@ def _pct(x: float) -> str:
 def cmd_gen_data(args, cfg: dict) -> int:
     spec = build_generator_spec(cfg)
     out = Path(args.out_dir)
-    if out.exists() and any(out.iterdir()) and not args.force:
-        raise DataError(f"output directory {out} is not empty (use --force)")
+    _check_output_dir(out, args.force, "output directory")
     samples = generate(spec)
     save_dataset(samples, out, force=True)
     (out / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
@@ -250,6 +237,8 @@ def open_run(args, cfg: dict, with_split: bool = False):
     )
     if getattr(args, "checkpoint", None) is None:
         train_cfg, params = build_train_config(cfg), None
+    elif not Path(args.checkpoint).is_file():
+        raise DataError(f"checkpoint file not found: {args.checkpoint}")
     else:
         train_cfg, params = None, load_checkpoint(args.checkpoint)
     split = None
@@ -259,8 +248,7 @@ def open_run(args, cfg: dict, with_split: bool = False):
             attack=getattr(args, "attack", None),
         )
     out = Path(cfg["out_root"]) / args.name
-    if out.exists() and any(out.iterdir()) and not args.force:
-        raise DataError(f"run directory {out} is not empty (use --force)")
+    _check_output_dir(out, args.force, "run directory")
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
     status = out / "status"
@@ -403,7 +391,7 @@ def _add_common(p: argparse.ArgumentParser, needs_data=True, trains=True) -> Non
 
 def _comma_list(kind: type, minimum: float = -math.inf):
     """An argparse type that reads a non-empty comma-separated list of
-    finite `kind` values, none below `minimum`."""
+    distinct finite `kind` values, none below `minimum`."""
     def parse(text: str) -> list:
         try:
             values = [kind(x) for x in text.split(",") if x != ""]
@@ -411,6 +399,8 @@ def _comma_list(kind: type, minimum: float = -math.inf):
             values = []
         if not values or not all(math.isfinite(v) and v >= minimum for v in values):
             raise argparse.ArgumentTypeError(f"bad {kind.__name__} list: {text!r}")
+        if len(set(values)) != len(values):
+            raise argparse.ArgumentTypeError(f"repeated value in {kind.__name__} list: {text!r}")
         return values
     return parse
 

@@ -32,14 +32,14 @@ _STREAM_IDENTITY = 1_000_003
 @dataclass(frozen=True)
 class GeneratorSpec:
     image_size: int = 32
-    n_identities: int = 8
-    samples_per_identity: int = 8
+    n_identities: int = 12
+    samples_per_identity: int = 12
     attack_types: tuple[str, ...] = ATTACK_TYPES
     attack_strength: float = 0.5
     noise_sigma: float = 0.05
     channels_a: int = 3
     channels_b: int = 1
-    seed: int = 0
+    seed: int = 7
 
     def __post_init__(self) -> None:
         if self.n_identities < 6:

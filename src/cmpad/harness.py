@@ -59,8 +59,8 @@ class TrainConfig:
     network: NetworkConfig = field(default_factory=NetworkConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     loss: LossParams = field(default_factory=LossParams)
-    epochs: int = 25
-    batch_size: int = 64
+    epochs: int = 10
+    batch_size: int = 32
     hflip_prob: float = 0.5
     seed: int = 0
 
@@ -368,6 +368,8 @@ def run_gamma_sweep(
     plain-BCE baseline by construction."""
     if len(gammas) == 0:
         raise ValueError("gamma list must be non-empty")
+    if len(set(map(float, gammas))) != len(gammas):
+        raise ValueError(f"repeated gamma in {list(gammas)}")
     results = {}
     for gamma in gammas:
         sweep_cfg = replace(cfg, loss=replace(cfg.loss, gamma=float(gamma)))
@@ -395,6 +397,8 @@ def run_single_channel_study(
     protocol, then thresholds each head on dev separately. Reports
     per-seed ACERs and the across-seed median per cell.
     """
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"repeated seed in {list(seeds)}")
     split = protocol_split(records, ratios, protocol_seed)
     pool = by_id(samples)
     variants = {"bce": 0.0, "cmfl": float(cfg.loss.gamma)}

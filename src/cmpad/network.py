@@ -48,8 +48,8 @@ class NetworkConfig:
     channels_a: int = 3
     channels_b: int = 1
     blocks_per_branch: int = 3
-    base_filters: int = 16
-    embedding_dim: int = 64
+    base_filters: int = 8
+    embedding_dim: int = 16
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -64,7 +64,7 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    learning_rate: float = 1e-4
+    learning_rate: float = 3e-3
     weight_decay: float = 1e-5
     beta1: float = 0.9
     beta2: float = 0.999
@@ -395,10 +395,11 @@ def backward(
 ):
     """Gradients of the batch-mean combined loss for every parameter.
 
-    Returns (grads, batch LossValue, ForwardOutput). Joint-head gradients
-    reach both branches through the concatenated embedding; each
-    cross-modal term also routes gradient into the other branch through
-    the damping weight unless loss_params.detach_weight is set.
+    Returns (grads, LossValue of the batch-mean loss alone, ForwardOutput).
+    Joint-head gradients reach both branches through the concatenated
+    embedding; each cross-modal term also routes gradient into the other
+    branch through the damping weight unless loss_params.detach_weight is
+    set.
     """
     ys = np.asarray(labels, dtype=np.int64)
     if ys.shape[0] == 0:
@@ -408,10 +409,7 @@ def backward(
         raise ValueError("labels disagree with batch length")
     lv = combined_loss(output.p, output.q, output.r, ys, loss_params)
     grads = backward_from_head_grads(params, output, caches, lv.d_p, lv.d_q, lv.d_r)
-    batch = LossValue(
-        value=lv.value.mean(), d_p=lv.d_p.mean(), d_q=lv.d_q.mean(), d_r=lv.d_r.mean()
-    )
-    return grads, batch, output
+    return grads, LossValue(value=lv.value.mean()), output
 
 
 def adam_step(

@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,12 @@ import pytest
 
 import cmpad
 from cmpad import harness
-from cmpad.cli import DEFAULT_CONFIG, load_effective_config, main
+from cmpad.cli import (
+    DEFAULT_CONFIG, build_generator_spec, build_train_config, load_effective_config, main,
+)
+from cmpad.datagen import GeneratorSpec
 from cmpad.errors import ConfigError
+from cmpad.harness import TrainConfig
 
 TINY = {
     "generator": {
@@ -152,6 +157,9 @@ class TestConfig:
         ["sweep-gamma", "--gammas", "inf"],
         ["single-channel", "--seeds", ""],
         ["single-channel", "--seeds", ","],
+        ["sweep-gamma", "--gammas", "3,3"],
+        ["sweep-gamma", "--gammas", "0,3,3.0"],  # equal as numbers
+        ["single-channel", "--seeds", "1,1"],
     ])
     def test_bad_list_flag_exit_code(self, tmp_path, tiny_config, dataset, capsys, argv):
         out = tmp_path / "runs"
@@ -169,6 +177,10 @@ class TestConfig:
     def test_desk_json_spells_out_every_default(self):
         desk = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
         assert json.loads(desk.read_text()) == DEFAULT_CONFIG
+
+    def test_built_in_defaults_are_the_dataclass_defaults(self):
+        assert build_train_config(DEFAULT_CONFIG) == TrainConfig()
+        assert build_generator_spec(DEFAULT_CONFIG) == GeneratorSpec()
 
     def test_file_overrides_default(self, tiny_config):
         cfg = load_effective_config(str(tiny_config), {})
@@ -425,6 +437,36 @@ class TestRunCommands:
         err = capsys.readouterr().err
         assert "(3, 16, 16)" in err and "(3, 32, 32)" in err
 
+    @pytest.mark.parametrize("argv, blamed", [
+        (["eval", "--checkpoint", "{tmp}/missing.bin", "--out", "{tmp}/runs"],
+         "{tmp}/missing.bin"),
+        (["eval", "--checkpoint", "{tmp}", "--out", "{tmp}/runs"], "{tmp}"),
+        (["report", "--checkpoint", "{tmp}", "--out", "{tmp}/runs"], "{tmp}"),
+        (["train", "--out", "{tmp}", "--name", "file"], "{tmp}/file"),
+        (["train", "--out", "{tmp}", "--name", "file", "--force"], "{tmp}/file"),
+        (["train", "--out", "{tmp}/file"], "{tmp}/file"),
+        (["gen-data", "{tmp}/file"], "{tmp}/file"),
+        (["gen-data", "{tmp}/file/ds", "--force"], "{tmp}/file"),
+    ], ids=["eval-missing-checkpoint", "eval-checkpoint-dir", "report-checkpoint-dir",
+            "run-dir-file", "run-dir-file-force", "out-root-file", "gen-data-file",
+            "gen-data-under-file"])
+    def test_path_of_wrong_kind_is_data_error(self, tmp_path, tiny_config, dataset, capsys,
+                                              argv, blamed):
+        (tmp_path / "file").write_text("not a directory\n")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        if argv[0] != "gen-data":
+            argv += ["--data", str(dataset)]
+        assert main([*argv, "--config", str(tiny_config)]) == 3
+        assert blamed.format(tmp=tmp_path) in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()  # rejected before the run directory is made
+        assert (tmp_path / "file").read_text() == "not a directory\n"
+
+    def test_designs_refuse_repeated_entries(self, tiny_samples, tiny_records, tiny_cfg):
+        with pytest.raises(ValueError, match="repeated gamma"):
+            harness.run_gamma_sweep(tiny_samples, tiny_records, tiny_cfg, gammas=(3, 3.0))
+        with pytest.raises(ValueError, match="repeated seed"):
+            harness.run_single_channel_study(tiny_samples, tiny_records, tiny_cfg, seeds=(1, 1))
+
     def test_loo_refuses_existing_run_dir(self, tmp_path, tiny_config, dataset, capsys):
         out = tmp_path / "runs"
         args = ["loo", "--data", str(dataset), "--config", str(tiny_config),
@@ -432,3 +474,33 @@ class TestRunCommands:
         assert main(args) == 0
         assert main(args) == 3
         assert main(args + ["--force"]) == 0
+
+
+class TestLossCurveScript:
+    @staticmethod
+    def run_script(monkeypatch, out: Path, *argv: str) -> None:
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_loss_curves.py"
+        script_main = runpy.run_path(str(script))["main"]
+        monkeypatch.setattr(sys, "argv", [script.name, *argv, "--out", str(out)])
+        script_main()
+
+    def test_one_column_per_gamma_and_q(self, tmp_path, monkeypatch):
+        out = tmp_path / "losscurve.tsv"
+        self.run_script(monkeypatch, out, "--gammas", "0,3", "--q-values", "0,1")
+        header = out.read_text().splitlines()[0].split("\t")
+        assert header == ["p_t", "ce", "g0_q0", "g0_q1", "g3_q0", "g3_q1"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--gammas", "nan"],
+        ["--gammas=-1"],
+        ["--gammas", "3,x"],
+        ["--gammas", "3,3"],
+        ["--q-values", "0,inf"],
+    ])
+    def test_bad_list_exit_code(self, tmp_path, monkeypatch, capsys, argv):
+        out = tmp_path / "losscurve.tsv"
+        with pytest.raises(SystemExit) as exc:
+            self.run_script(monkeypatch, out, *argv)
+        assert exc.value.code == 2
+        assert argv[0].split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
