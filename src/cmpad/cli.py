@@ -391,7 +391,9 @@ def _add_common(p: argparse.ArgumentParser, needs_data=True, trains=True) -> Non
 
 def _comma_list(kind: type, minimum: float = -math.inf):
     """An argparse type that reads a non-empty comma-separated list of
-    distinct finite `kind` values, none below `minimum`."""
+    distinct finite `kind` values, none below `minimum`. Floats must also
+    differ as printed with `:g`, which names sweep legs, table rows and
+    loss-curve columns."""
     def parse(text: str) -> list:
         try:
             values = [kind(x) for x in text.split(",") if x != ""]
@@ -399,7 +401,7 @@ def _comma_list(kind: type, minimum: float = -math.inf):
             values = []
         if not values or not all(math.isfinite(v) and v >= minimum for v in values):
             raise argparse.ArgumentTypeError(f"bad {kind.__name__} list: {text!r}")
-        if len(set(values)) != len(values):
+        if len({f"{v:g}" if kind is float else v for v in values}) != len(values):
             raise argparse.ArgumentTypeError(f"repeated value in {kind.__name__} list: {text!r}")
         return values
     return parse

@@ -53,6 +53,11 @@ class GeneratorSpec:
         unknown = set(self.attack_types) - set(ATTACK_TYPES)
         if unknown:
             raise ValueError(f"unknown attack types: {sorted(unknown)}")
+        if not self.attack_types:
+            raise ValueError("generator.attack_types must name at least one attack type")
+        for key in ("channels_a", "channels_b"):
+            if getattr(self, key) not in (1, 3):  # what an 8-bit PGM or PPM raster holds
+                raise ValueError(f"generator.{key} must be 1 or 3, got {getattr(self, key)!r}")
         object.__setattr__(self, "attack_types", tuple(self.attack_types))
 
 

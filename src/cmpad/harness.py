@@ -37,6 +37,7 @@ from .network import (
     NetworkConfig,
     OptimizerConfig,
     ParameterSet,
+    Workspace,
     _forward,
     adam_step,
     backward,
@@ -156,6 +157,7 @@ def train(
     ys = np.array([s.label for s in train_samples])
     n = len(train_samples)
 
+    workspace = Workspace()  # one set of conv transients for every step of the run
     epoch_losses: list[float] = []
     for epoch in range(cfg.epochs):
         order = _stream(cfg.seed, "shuffle", epoch).permutation(n)
@@ -168,7 +170,7 @@ def train(
             flip = flips[idx]
             batch_a[flip] = batch_a[flip][..., ::-1]
             batch_b[flip] = batch_b[flip][..., ::-1]
-            grads, lv, _ = backward(params, batch_a, batch_b, ys[idx], cfg.loss)
+            grads, lv, _ = backward(params, batch_a, batch_b, ys[idx], cfg.loss, workspace)
             params = adam_step(params, grads, cfg.optimizer)
             losses.append(lv.value)
         mean_loss = float(np.mean(losses))
@@ -368,12 +370,13 @@ def run_gamma_sweep(
     plain-BCE baseline by construction."""
     if len(gammas) == 0:
         raise ValueError("gamma list must be non-empty")
-    if len(set(map(float, gammas))) != len(gammas):
-        raise ValueError(f"repeated gamma in {list(gammas)}")
+    legs = [f"gamma_{float(gamma):g}" for gamma in gammas]  # 6 significant digits
+    if len(set(legs)) != len(legs):
+        raise ValueError(f"repeated gamma in {list(gammas)}: leg directories {legs} collide")
     results = {}
-    for gamma in gammas:
+    for gamma, leg in zip(gammas, legs):
         sweep_cfg = replace(cfg, loss=replace(cfg.loss, gamma=float(gamma)))
-        leg_out = Path(out_dir) / f"gamma_{gamma:g}" if out_dir is not None else None
+        leg_out = Path(out_dir) / leg if out_dir is not None else None
         results[float(gamma)] = run_loo(
             samples, records, sweep_cfg, out_dir=leg_out, ratios=ratios,
             protocol_seed=protocol_seed, bpcer_target=bpcer_target,

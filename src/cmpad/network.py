@@ -6,11 +6,16 @@ pooling and a linear map to a fixed-dimension embedding. Inside a branch
 activations are batch-innermost (C, H, W, N): each conv layer is one
 im2col GEMM over the whole batch, (F, C*9) @ (C*9, H*W*N), and every
 strided copy and add in im2col, its scatter and the pools runs along the
-contiguous batch axis. Scoring runs the same body without backward
-caches, so each layer's cols and conv output are freed once it is
-pooled. The two branch embeddings are concatenated into a joint
-embedding, and three sigmoid heads (branch A, branch B, joint) each
-apply one fully connected layer.
+contiguous batch axis. The two branch embeddings are concatenated into
+a joint embedding, and three sigmoid heads (branch A, branch B, joint)
+each apply one fully connected layer.
+
+Every conv pass runs in bounded memory that it reuses. A training step
+caches each layer's padded input, not its columns, and takes its
+transients from a Workspace that the caller keeps for the whole run.
+Scoring keeps no caches and runs the conv blocks over slices of the
+batch sized by a fixed byte budget, so its buffers stay small enough
+for the allocator to reuse instead of mapping fresh pages.
 
 Everything runs in float64 so gradient checks can be tight. All
 randomness is seeded and parameter draws follow a fixed name order, so
@@ -19,6 +24,7 @@ identical configs produce bit-identical parameter sets.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -185,95 +191,194 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.clip(out, _SIGMOID_CLIP, 1.0 - _SIGMOID_CLIP)
 
 
-def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """Same-padding stride-1 3x3 convolution of a batch-innermost batch
-    x (C, H, W, N) as one GEMM; returns (out (F, H, W, N), im2col cols)."""
-    c, h, wd, n = x.shape
+class Workspace:
+    """Scratch arrays a training run reuses from step to step.
+
+    Each transient of a conv pass (im2col columns, the GEMM output, the
+    column and padded-input gradients, the pool-backward arrays) has a
+    role, and every layer of both branches shares one flat buffer per
+    role, grown to the largest shape asked of it. An array taken for a
+    role is valid until the next take of that role. A run that reuses
+    one workspace maps its transient pages once instead of every step.
+    """
+
+    __slots__ = ("_flat",)
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(role)
+        if flat is None or flat.size < size:
+            flat = self._flat[role] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+
+def _take(ws: Workspace | None, role: str, shape: tuple[int, ...]) -> np.ndarray:
+    return np.empty(shape) if ws is None else ws.take(role, shape)
+
+
+def _padded(c: int, h: int, w: int, n: int) -> np.ndarray:
+    """A zero (C, H+2, W+2, N) array; its producer writes the interior
+    [:, 1:-1, 1:-1] in place, so the border is the conv's zero padding."""
+    return np.zeros((c, h + 2, w + 2, n))
+
+
+def _im2col(xp: np.ndarray, ws: Workspace | None) -> np.ndarray:
+    """(C*9, H*W*N) columns of a padded input, copied in one call from a
+    (C, 3, 3, H, W, N) window view; row c*9 + dy*3 + dx matches
+    w.reshape(f, c*9)."""
+    c, hp, wp, n = xp.shape
+    h, wd = hp - 2, wp - 2
+    sc, sh, sw, sn = xp.strides
+    # only read; built on xp's buffer (xp is contiguous) rather than with
+    # as_strided, which costs about 6 us a call, three calls in a 0.3 ms
+    # one-sample score
+    windows = np.ndarray((c, 3, 3, h, wd, n), xp.dtype, xp, 0, (sc, sh, sw, sh, sw, sn))
+    cols = _take(ws, "cols", windows.shape)
+    cols[...] = windows
+    return cols.reshape(c * 9, h * wd * n)
+
+
+def _conv2d_forward(xp: np.ndarray, w: np.ndarray, b: np.ndarray,
+                    ws: Workspace | None = None) -> np.ndarray:
+    """Same-padding stride-1 3x3 convolution as one GEMM: xp is the
+    padded batch-innermost input (C, H+2, W+2, N); returns (F, H, W, N)."""
+    c, hp, wp, n = xp.shape
     f = w.shape[0]
-    xp = np.zeros((c, h + 2, wd + 2, n))
-    xp[:, 1 : h + 1, 1 : wd + 1] = x
-    cols = np.empty((c, 9, h, wd, n))
-    for idx in range(9):
-        dy, dx = divmod(idx, 3)
-        cols[:, idx] = xp[:, dy : dy + h, dx : dx + wd]
-    cols = cols.reshape(c * 9, h * wd * n)  # row c*9 + idx matches w.reshape(f, c*9)
-    out = w.reshape(f, c * 9) @ cols
+    cols = _im2col(xp, ws)
+    out = np.matmul(w.reshape(f, c * 9), cols, out=_take(ws, "out", (f, cols.shape[1])))
     out += b[:, None]
-    return out.reshape(f, h, wd, n), cols
+    return out.reshape(f, hp - 2, wp - 2, n)
 
 
-def _conv2d_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray, need_dx: bool):
-    """(dx, dW, db) for dout (F, H, W, N); dx is None unless need_dx."""
+def _conv2d_backward(dout: np.ndarray, xp: np.ndarray, w: np.ndarray, need_dx: bool,
+                     ws: Workspace | None = None):
+    """(dx, dW, db) for dout (F, H, W, N) and the forward's padded input
+    xp; the columns are rebuilt from xp. dx is None unless need_dx."""
     f, h, wd, n = dout.shape
     c = w.shape[1]
     dout2 = dout.reshape(f, h * wd * n)
-    dw = (dout2 @ cols.T).reshape(w.shape)
+    # (cols @ dout2.T).T runs the K = H*W*N reduction faster than dout2 @ cols.T
+    dw = (_im2col(xp, ws) @ dout2.T).T.reshape(w.shape)
     db = dout2.sum(axis=1)
     if not need_dx:
         return None, dw, db
-    dcols = (w.reshape(f, c * 9).T @ dout2).reshape(c, 9, h, wd, n)
-    dxp = np.zeros((c, h + 2, wd + 2, n))
+    dcols = np.matmul(w.reshape(f, c * 9).T, dout2, out=_take(ws, "dcols", (c * 9, h * wd * n)))
+    dcols = dcols.reshape(c, 9, h, wd, n)
+    dxp = _take(ws, "dxp", xp.shape)
+    dxp.fill(0.0)
     for idx in range(9):
         dy, dx = divmod(idx, 3)
         dxp[:, dy : dy + h, dx : dx + wd] += dcols[:, idx]
     return dxp[:, 1 : h + 1, 1 : wd + 1], dw, db
 
 
-def _avgpool2(x: np.ndarray) -> np.ndarray:
+def _avgpool2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """2x2 average pool of (C, H, W, N), written into out when given. The
+    sums run in a contiguous temporary and only the final scaling writes
+    out: four passes over a strided out (a padded buffer's interior)
+    take about twice as long."""
     c, h, w, n = x.shape
     v = x.reshape(c, h // 2, 2, w // 2, 2, n)
-    out = v[:, :, 0, :, 0] + v[:, :, 0, :, 1]
-    out += v[:, :, 1, :, 0]
-    out += v[:, :, 1, :, 1]
-    return np.multiply(out, 0.25, out=out)
+    acc = v[:, :, 0, :, 0] + v[:, :, 0, :, 1]
+    acc += v[:, :, 1, :, 0]
+    acc += v[:, :, 1, :, 1]
+    return np.multiply(acc, 0.25, out=acc if out is None else out)
 
 
-def _avgpool2_backward(dout: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _avgpool2_backward(dout: np.ndarray, mask: np.ndarray,
+                       ws: Workspace | None = None) -> np.ndarray:
     """Gradient through ReLU then 2x2 average pool: dout broadcasts to
     (C, H/2, W/2, N) and mask is the (C, H, W, N) ReLU mask. Repeating
     along W first keeps the broadcast write's inner loop W*N long."""
     c, h, w, n = mask.shape
-    rows = np.repeat(np.broadcast_to(0.25 * dout, (c, h // 2, w // 2, n)), 2, axis=2)
-    dx = np.empty((c, h // 2, 2, w, n))
-    np.multiply(mask.reshape(dx.shape), rows[:, :, None], out=dx)
+    rows = _take(ws, "pool_rows", (c, h // 2, w // 2, 2, n))
+    np.multiply(dout[:, :, :, None], 0.25, out=rows)
+    dx = _take(ws, "pool_dx", (c, h // 2, 2, w, n))
+    np.multiply(mask.reshape(dx.shape), rows.reshape(c, h // 2, w, n)[:, :, None], out=dx)
     return dx.reshape(mask.shape)
 
 
 class _BranchCache:
-    __slots__ = ("conv_cols", "relu_masks", "gap_in", "gap")
+    __slots__ = ("padded", "relu_masks", "gap_in", "gap")
 
     def __init__(self):
-        self.conv_cols: list[np.ndarray] = []
+        self.padded: list[np.ndarray] = []  # each conv layer's padded input
         self.relu_masks: list[np.ndarray] = []
 
 
-def _branch_forward(params: ParameterSet, branch: str, x: np.ndarray,
-                    cache: _BranchCache | None):
-    """Branch embeddings (N, D); fills cache for the backward pass when
-    one is given. Without one, each layer's cols and conv output are
-    dropped as soon as the layer is pooled."""
+def _branch_features(params: ParameterSet, branch: str, x: np.ndarray,
+                     cache: _BranchCache | None, ws: Workspace | None) -> np.ndarray:
+    """Last pooled activations (C_last, H', W', N) of the conv blocks;
+    fills cache for the backward pass when one is given. Each layer's
+    input is written straight into the interior of its padded buffer:
+    the centred rasters for layer 0, the previous layer's pool after."""
     cfg = params.config
-    cur = x.transpose(1, 2, 3, 0) - 0.5  # rasters arrive in [0, 1]; center them
+    n, c, h, w = x.shape
+    xp = _padded(c, h, w, n)
+    np.subtract(x.transpose(1, 2, 3, 0), 0.5, out=xp[:, 1:-1, 1:-1])  # rasters arrive in [0, 1]
     for i in range(cfg.blocks_per_branch):
-        w = params.params[f"branch_{branch}/conv{i}/W"]
-        b = params.params[f"branch_{branch}/conv{i}/b"]
-        out, cols = _conv2d_forward(cur, w, b)
+        out = _conv2d_forward(
+            xp, params.params[f"branch_{branch}/conv{i}/W"],
+            params.params[f"branch_{branch}/conv{i}/b"], ws,
+        )
         np.maximum(out, 0.0, out=out)
         if cache is not None:
-            cache.conv_cols.append(cols)
+            cache.padded.append(xp)
             cache.relu_masks.append(out > 0)
-        cur = _avgpool2(out)
-        del out, cols  # freed before the next layer allocates its own
-    g = cur.mean(axis=(1, 2)).T  # (N, C_last)
+        f, h, w = out.shape[:3]
+        if i + 1 < cfg.blocks_per_branch:
+            xp = _padded(f, h // 2, w // 2, n)
+            _avgpool2(out, out=xp[:, 1:-1, 1:-1])
+        else:
+            gap_in = _avgpool2(out)
+        del out  # freed before the next layer allocates its own
+    return gap_in
+
+
+# Byte budget for the largest layer's im2col columns in one uncached
+# branch pass: scoring a large group runs in slices that stay well below
+# glibc's 32 MiB mmap ceiling, so their buffers are reused, not re-mapped.
+_CHUNK_BYTES = 8 << 20
+
+
+@functools.lru_cache(maxsize=8)
+def _score_chunk(cfg: NetworkConfig) -> int:
+    """Samples per uncached branch pass under _CHUNK_BYTES of columns."""
+    worst = max(
+        c_in * 9 * (cfg.input_height >> i) * (cfg.input_width >> i) * 8
+        for c0 in (cfg.channels_a, cfg.channels_b)
+        for i, (c_in, _) in enumerate(_branch_channels(cfg, c0))
+    )
+    return max(1, _CHUNK_BYTES // worst)
+
+
+def _branch_forward(params: ParameterSet, branch: str, x: np.ndarray,
+                    cache: _BranchCache | None, ws: Workspace | None = None):
+    """Branch embeddings (N, D). Without a cache the conv blocks run over
+    slices of at most _score_chunk samples. GAP and the embedding GEMM
+    always run once over the whole batch: with one sample they reduce
+    in a different order, so a one-sample slice would change the bits."""
     if cache is not None:
-        cache.gap_in, cache.gap = cur, g
+        gap_in = _branch_features(params, branch, x, cache, ws)
+    else:
+        k = _score_chunk(params.config)
+        parts = [_branch_features(params, branch, x[s : s + k], None, None)
+                 for s in range(0, x.shape[0], k)]
+        gap_in = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=3)
+    g = gap_in.mean(axis=(1, 2)).T  # (N, C_last)
+    if cache is not None:
+        cache.gap_in, cache.gap = gap_in, g
     we = params.params[f"branch_{branch}/embed/W"]
     be = params.params[f"branch_{branch}/embed/b"]
     return g @ we.T + be
 
 
 def _branch_backward(params: ParameterSet, branch: str, cache: _BranchCache,
-                     demb: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+                     demb: np.ndarray, grads: dict[str, np.ndarray],
+                     ws: Workspace | None) -> None:
     cfg = params.config
     we = params.params[f"branch_{branch}/embed/W"]
     grads[f"branch_{branch}/embed/W"] += demb.T @ cache.gap
@@ -281,10 +386,10 @@ def _branch_backward(params: ParameterSet, branch: str, cache: _BranchCache,
     dg = demb @ we  # (N, C_last)
     dcur = (dg.T / math.prod(cache.gap_in.shape[1:3]))[:, None, None, :]  # broadcast over GAP input
     for i in reversed(range(cfg.blocks_per_branch)):
-        dpre_relu = _avgpool2_backward(dcur, cache.relu_masks[i])
+        dpre_relu = _avgpool2_backward(dcur, cache.relu_masks[i], ws)
         wname = f"branch_{branch}/conv{i}/W"
         dcur, dw, db = _conv2d_backward(
-            dpre_relu, cache.conv_cols[i], params.params[wname], need_dx=i > 0
+            dpre_relu, cache.padded[i], params.params[wname], need_dx=i > 0, ws=ws
         )
         grads[wname] += dw
         grads[f"branch_{branch}/conv{i}/b"] += db
@@ -313,12 +418,16 @@ def _as_batch(x: np.ndarray, channels: int, cfg: NetworkConfig, what: str) -> np
 HEAD_BRANCHES = {"a": ("a",), "b": ("b",), "joint": ("a", "b")}
 
 
-def _forward(params: ParameterSet, x_a, x_b, cached: bool = False):
+def _forward(params: ParameterSet, x_a, x_b, cached: bool = False,
+             ws: Workspace | None = None):
     """(ForwardOutput, caches): a branch runs when its channel is not None,
     and a head whose branches did not run is NaN, as is the embedding of
     a branch not run. caches holds the branches run when cached, else is
-    empty. predict_score and harness.score_samples call this uncached, so
-    a trace of forward_cached counts only passes that feed a backward."""
+    empty. An uncached pass runs each branch's conv blocks over slices
+    of at most _score_chunk samples; a cached one runs the whole batch,
+    taking its transients from ws. predict_score and
+    harness.score_samples call this uncached, so a trace of
+    forward_cached counts only passes that feed a backward."""
     cfg = params.config
     inputs = {}
     for branch, x, depth in (("a", x_a, cfg.channels_a), ("b", x_b, cfg.channels_b)):
@@ -327,12 +436,12 @@ def _forward(params: ParameterSet, x_a, x_b, cached: bool = False):
     sizes = {x.shape[0] for x in inputs.values()}
     if len(sizes) != 1:
         raise ValueError("channel batches disagree in length" if sizes else "no channel given")
+    (n,) = sizes
     emb, caches = {}, {}
     for branch, x in inputs.items():
         if cached:
             caches[branch] = _BranchCache()
-        emb[branch] = _branch_forward(params, branch, x, caches.get(branch))
-    (n,) = sizes
+        emb[branch] = _branch_forward(params, branch, x, caches.get(branch), ws)
     absent = np.full((n, cfg.embedding_dim), np.nan)
     e_p, e_q = emb.get("a", absent), emb.get("b", absent)
     e_r = np.concatenate([e_p, e_q], axis=1)
@@ -345,13 +454,15 @@ def _forward(params: ParameterSet, x_a, x_b, cached: bool = False):
 
 
 def forward_cached(
-    params: ParameterSet, x_a: np.ndarray, x_b: np.ndarray
+    params: ParameterSet, x_a: np.ndarray, x_b: np.ndarray,
+    workspace: Workspace | None = None,
 ) -> tuple[ForwardOutput, tuple]:
     """Head probabilities for a batch of both channels, plus the
-    per-branch caches that `backward_from_head_grads` needs."""
+    per-branch caches that `backward_from_head_grads` needs. The caches
+    hold fresh arrays; only the pass's transients come from workspace."""
     if x_a is None or x_b is None:
         raise ValueError("forward_cached needs both channels")
-    out, caches = _forward(params, x_a, x_b, cached=True)
+    out, caches = _forward(params, x_a, x_b, cached=True, ws=workspace)
     return out, (caches["a"], caches["b"])
 
 
@@ -362,6 +473,7 @@ def backward_from_head_grads(
     d_p: np.ndarray,
     d_q: np.ndarray,
     d_r: np.ndarray,
+    workspace: Workspace | None = None,
 ) -> dict[str, np.ndarray]:
     """Parameter gradients of the batch-mean loss, given per-sample partials
     w.r.t. the three head probabilities."""
@@ -381,8 +493,8 @@ def backward_from_head_grads(
     demb_r = head_back("joint", output.e_r, output.r, np.asarray(d_r, dtype=np.float64))
     demb_a = demb_a + demb_r[:, :d]
     demb_b = demb_b + demb_r[:, d:]
-    _branch_backward(params, "a", cache_a, demb_a, grads)
-    _branch_backward(params, "b", cache_b, demb_b, grads)
+    _branch_backward(params, "a", cache_a, demb_a, grads, workspace)
+    _branch_backward(params, "b", cache_b, demb_b, grads, workspace)
     return grads
 
 
@@ -392,6 +504,7 @@ def backward(
     x_b: np.ndarray,
     labels: Sequence[int],
     loss_params: LossParams,
+    workspace: Workspace | None = None,
 ):
     """Gradients of the batch-mean combined loss for every parameter.
 
@@ -399,16 +512,17 @@ def backward(
     Joint-head gradients reach both branches through the concatenated
     embedding; each cross-modal term also routes gradient into the other
     branch through the damping weight unless loss_params.detach_weight is
-    set.
+    set. The conv transients come from workspace when one is given (a
+    training run passes the same one every step), else fresh arrays.
     """
     ys = np.asarray(labels, dtype=np.int64)
     if ys.shape[0] == 0:
         raise ValueError("empty batch")
-    output, caches = forward_cached(params, x_a, x_b)
+    output, caches = forward_cached(params, x_a, x_b, workspace)
     if output.p.shape[0] != ys.shape[0]:
         raise ValueError("labels disagree with batch length")
     lv = combined_loss(output.p, output.q, output.r, ys, loss_params)
-    grads = backward_from_head_grads(params, output, caches, lv.d_p, lv.d_q, lv.d_r)
+    grads = backward_from_head_grads(params, output, caches, lv.d_p, lv.d_q, lv.d_r, workspace)
     return grads, LossValue(value=lv.value.mean()), output
 
 

@@ -124,6 +124,20 @@ class TestConfig:
         assert capsys.readouterr().err.count(key) == 2
         assert not out.exists()  # rejected before any output directory is made
 
+    @pytest.mark.parametrize("generator, key", [
+        ({"channels_a": 2}, "generator.channels_a"),
+        ({"channels_a": 0}, "generator.channels_a"),
+        ({"channels_b": 0}, "generator.channels_b"),
+        ({"attack_types": []}, "generator.attack_types"),
+    ])
+    def test_generator_error_exit_code(self, tmp_path, capsys, generator, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**TINY, "generator": {**TINY["generator"], **generator}}))
+        out = tmp_path / "ds"
+        assert main(["gen-data", str(out), "--config", str(bad)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()  # rejected before the dataset directory is made
+
     @pytest.mark.parametrize("raw", [b"[1, 2]", b'"x"', b'{"train": {}}\xff'])
     def test_config_file_not_an_object_or_not_utf8(self, tmp_path, capsys, raw):
         bad = tmp_path / "bad.json"
@@ -160,6 +174,7 @@ class TestConfig:
         ["sweep-gamma", "--gammas", "3,3"],
         ["sweep-gamma", "--gammas", "0,3,3.0"],  # equal as numbers
         ["single-channel", "--seeds", "1,1"],
+        ["sweep-gamma", "--gammas", "0.1234567,0.1234568"],  # one gamma_0.123457 directory
     ])
     def test_bad_list_flag_exit_code(self, tmp_path, tiny_config, dataset, capsys, argv):
         out = tmp_path / "runs"
@@ -462,8 +477,9 @@ class TestRunCommands:
         assert (tmp_path / "file").read_text() == "not a directory\n"
 
     def test_designs_refuse_repeated_entries(self, tiny_samples, tiny_records, tiny_cfg):
-        with pytest.raises(ValueError, match="repeated gamma"):
-            harness.run_gamma_sweep(tiny_samples, tiny_records, tiny_cfg, gammas=(3, 3.0))
+        for gammas in ((3, 3.0), (0.1234567, 0.1234568)):
+            with pytest.raises(ValueError, match="repeated gamma"):
+                harness.run_gamma_sweep(tiny_samples, tiny_records, tiny_cfg, gammas=gammas)
         with pytest.raises(ValueError, match="repeated seed"):
             harness.run_single_channel_study(tiny_samples, tiny_records, tiny_cfg, seeds=(1, 1))
 
@@ -496,6 +512,7 @@ class TestLossCurveScript:
         ["--gammas", "3,x"],
         ["--gammas", "3,3"],
         ["--q-values", "0,inf"],
+        ["--gammas", "0.1234567,0.1234568"],  # one g0.123457_q* column each
     ])
     def test_bad_list_exit_code(self, tmp_path, monkeypatch, capsys, argv):
         out = tmp_path / "losscurve.tsv"

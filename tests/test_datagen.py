@@ -38,6 +38,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown attack"):
             GeneratorSpec(attack_types=("C_VISIBLE",))
 
+    @pytest.mark.parametrize("key", ["channels_a", "channels_b"])
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_channel_count_a_raster_cannot_hold(self, key, count):
+        with pytest.raises(ValueError, match=f"generator.{key}"):
+            GeneratorSpec(**{key: count})
+
+    def test_no_attack_types(self):
+        with pytest.raises(ValueError, match="generator.attack_types"):
+            GeneratorSpec(attack_types=())
+
 
 class TestDeterminism:
     def test_same_spec_same_bytes(self):

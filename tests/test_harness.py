@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmpad import harness
+from cmpad import harness, network
 from cmpad.datagen import GeneratorSpec, MultiModalSample, generate
 from cmpad.datasets import make_grandtest, make_loo
 from cmpad.errors import DataError
@@ -235,6 +235,16 @@ class TestGammaSweep:
             assert np.max(np.abs(grads[name] - ref[name])) <= 1e-12, name
 
 
+def traced_peak(fn):
+    """(fn(), peak bytes tracemalloc saw while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestScoringKeepsNoCaches:
     def test_bit_equal_to_forward_cached_at_lower_peak(self):
         desk = json.loads((Path(__file__).resolve().parents[1] / "configs" / "desk.json").read_text())
@@ -249,20 +259,32 @@ class TestScoringKeepsNoCaches:
             for i in range(n)
         ]
 
-        def traced_peak(fn):
-            tracemalloc.start()
-            try:
-                result = fn()
-                return result, tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         records, score_peak = traced_peak(lambda: score_samples(params, group))
         (out, _), cached_peak = traced_peak(lambda: forward_cached(params, xa, xb))
         for field_name, probs in (("score_p", out.p), ("score_q", out.q), ("score_r", out.r)):
             np.testing.assert_array_equal([getattr(r, field_name) for r in records], probs)
         # the scoring peak includes stacking the inputs; forward_cached's does not
         assert score_peak <= 0.6 * cached_peak, (score_peak, cached_peak)
+
+
+class TestChunkedScoring:
+    def test_desk_group_bit_equal_to_one_pass_at_a_quarter_of_its_peak(self, monkeypatch):
+        cfg = NetworkConfig()  # the desk geometry
+        params = init_network(cfg)
+        rng = np.random.default_rng(5)
+        n, size = 576, (cfg.input_height, cfg.input_width)
+        group = [
+            MultiModalSample(id=f"s{i}", identity="i0", x_a=rng.random((cfg.channels_a, *size)),
+                             x_b=rng.random((cfg.channels_b, *size)), label=i % 2,
+                             attack_type="bonafide" if i % 2 else "A_VISIBLE")
+            for i in range(n)
+        ]
+
+        chunked, chunked_peak = traced_peak(lambda: score_samples(params, group))
+        monkeypatch.setattr(network, "_score_chunk", lambda cfg: n)  # one pass, as unchunked
+        whole, whole_peak = traced_peak(lambda: score_samples(params, group))
+        assert chunked == whole  # every score bit-equal
+        assert chunked_peak <= 0.25 * whole_peak, (chunked_peak, whole_peak)
 
 
 class TestSingleChannelStudy:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cmpad import network
 from cmpad.errors import (
     BadCheckpointFormat,
     CheckpointShapeMismatch,
@@ -14,9 +15,12 @@ from cmpad.network import (
     _conv2d_backward,
     _conv2d_forward,
     _forward,
+    _padded,
+    _score_chunk,
     ForwardOutput,
     NetworkConfig,
     OptimizerConfig,
+    Workspace,
     adam_step,
     backward,
     backward_from_head_grads,
@@ -90,6 +94,13 @@ def conv_reference(x, w, b):
     return out + b[:, None, None, None]
 
 
+def padded_input(x):
+    """x (C, H, W, N) in the zero-bordered buffer the conv primitives take."""
+    xp = _padded(*x.shape)
+    xp[:, 1:-1, 1:-1] = x
+    return xp
+
+
 # (C, H, W, N). Square cases keep their "C-N-H" ids; in the non-square ones
 # H != W and N = 5 is neither, so a misread or swapped axis fails.
 PRIMITIVE_SHAPES = [
@@ -105,8 +116,9 @@ class TestPrimitives:
     def test_conv_forward_matches_direct_convolution(self, c, h, w, n):
         rng = np.random.default_rng(c * 1000 + h * 100 + w * 10 + n)
         x, wt, b = rng.random((c, h, w, n)), rng.normal(size=(4, c, 3, 3)), rng.normal(size=4)
-        out, cols = _conv2d_forward(x, wt, b)
-        assert out.shape == (4, h, w, n) and cols.shape == (c * 9, h * w * n)
+        xp = padded_input(x)
+        out = _conv2d_forward(xp, wt, b)
+        assert out.shape == (4, h, w, n) and xp.shape == (c, h + 2, w + 2, n)
         np.testing.assert_allclose(out, conv_reference(x, wt, b), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("c,h,w,n", PRIMITIVE_SHAPES)
@@ -114,15 +126,17 @@ class TestPrimitives:
         rng = np.random.default_rng(c * 1000 + h * 100 + w * 10 + n + 1)
         x, wt, b = rng.normal(size=(c, h, w, n)), rng.normal(size=(4, c, 3, 3)), rng.normal(size=4)
         dout = rng.normal(size=(4, h, w, n))
-        out, cols = _conv2d_forward(x, wt, np.zeros(4))
-        dx, dw, db = _conv2d_backward(dout, cols, wt, need_dx=True)
+        xp = padded_input(x)
+        out = _conv2d_forward(xp, wt, np.zeros(4))
+        dx, dw, db = _conv2d_backward(dout, xp, wt, need_dx=True)
+        assert dx.shape == x.shape
         inner = np.vdot(dout, out)
         for other in (np.vdot(dx, x), np.vdot(dw, wt)):
             assert abs(inner - other) <= 1e-12 * abs(inner)
-        with_bias, _ = _conv2d_forward(x, wt, b)
+        with_bias = _conv2d_forward(xp, wt, b)
         bias_part = np.vdot(dout, with_bias) - inner
         assert abs(bias_part - np.vdot(db, b)) <= 1e-12 * np.abs(dout).sum() * np.abs(b).max()
-        no_dx, dw2, db2 = _conv2d_backward(dout, cols, wt, need_dx=False)
+        no_dx, dw2, db2 = _conv2d_backward(dout, xp, wt, need_dx=False)
         assert no_dx is None
         np.testing.assert_array_equal(dw2, dw)
         np.testing.assert_array_equal(db2, db)
@@ -296,6 +310,52 @@ class TestBackward:
         only_cross = backward_from_head_grads(ps, out, caches, d[:, 0], d[:, 1], d[:, 2])
         for n in bnames:
             assert not only_cross[n].any()
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_interleaved_forward_passes_keep_independent_caches(self, shared):
+        ps = init_network(CFG)
+        lp = LossParams()
+        batches = [rand_batch(4, seed=s) for s in (1, 2)]
+        ws = Workspace() if shared else None
+        alone = [backward(ps, xa, xb, ys, lp)[0] for xa, xb, ys in batches]
+        passes = [forward_cached(ps, xa, xb, ws) for xa, xb, _ in batches]
+        for (out, caches), (_, _, ys), ref in zip(passes, batches, alone):
+            lv = combined_loss(out.p, out.q, out.r, ys, lp)
+            grads = backward_from_head_grads(ps, out, caches, lv.d_p, lv.d_q, lv.d_r, ws)
+            for name in ref:
+                np.testing.assert_array_equal(grads[name], ref[name], err_msg=name)
+
+    def test_ten_steps_bit_equal_with_and_without_workspace(self):
+        lp, opt = LossParams(), OptimizerConfig()
+        xa, xb, ys = rand_batch(77, seed=4)
+        ps, ws = init_network(CFG), Workspace()
+        for step in range(10):  # nine batches of 8, then the last 5 samples
+            idx = slice(8 * step, 8 * step + 8)
+            fresh, lv_fresh, _ = backward(ps, xa[idx], xb[idx], ys[idx], lp)
+            reused, lv_reused, _ = backward(ps, xa[idx], xb[idx], ys[idx], lp, workspace=ws)
+            assert lv_reused.value == lv_fresh.value
+            for name in fresh:
+                np.testing.assert_array_equal(reused[name], fresh[name], err_msg=name)
+            ps = adam_step(ps, reused, opt)
+        assert xa[idx].shape[0] == 5
+
+
+class TestScoreChunks:
+    def test_chunk_from_byte_budget(self):
+        assert _score_chunk(NetworkConfig()) == 37  # 221,184 B of layer-0 columns per sample
+        full = NetworkConfig(input_height=224, input_width=224, blocks_per_branch=5)
+        assert _score_chunk(full) == 1  # 10.8 MB per sample, over the budget alone
+
+    def test_chunked_scores_equal_one_pass(self, monkeypatch):
+        ps = init_network(CFG)
+        xa, xb, _ = rand_batch(50)
+        whole, _ = forward_cached(ps, xa, xb)
+        monkeypatch.setattr(network, "_score_chunk", lambda cfg: 7)  # 8 slices, the last of 1
+        chunked, _ = _forward(ps, xa, xb)
+        for name in ("e_p", "e_q", "p", "q", "r"):
+            np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
 
 
 class TestAdam:
