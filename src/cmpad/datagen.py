@@ -42,19 +42,25 @@ class GeneratorSpec:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.n_identities < 6:
-            raise ValueError("need at least 6 identities for identity-disjoint splits")
+        # 6 identities is the least an identity-disjoint 3-fold split takes
+        for key, least in (("image_size", 8), ("n_identities", 6), ("samples_per_identity", 1)):
+            if getattr(self, key) < least:
+                raise ValueError(f"generator.{key} must be >= {least}, got {getattr(self, key)!r}")
         if not 0.0 < self.attack_strength <= 1.0:
-            raise ValueError("attack_strength must be in (0, 1]")
+            raise ValueError(
+                f"generator.attack_strength must be in (0, 1], got {self.attack_strength!r}"
+            )
         if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if self.samples_per_identity < 1 or self.image_size < 8:
-            raise ValueError("degenerate generator spec")
-        unknown = set(self.attack_types) - set(ATTACK_TYPES)
+            raise ValueError(f"generator.noise_sigma must be >= 0, got {self.noise_sigma!r}")
+        unknown = [t for t in self.attack_types if t not in ATTACK_TYPES]
         if unknown:
-            raise ValueError(f"unknown attack types: {sorted(unknown)}")
+            raise ValueError(f"generator.attack_types holds unknown attack types: {unknown}")
         if not self.attack_types:
             raise ValueError("generator.attack_types must name at least one attack type")
+        if len(set(self.attack_types)) != len(self.attack_types):  # a repeat doubles its samples
+            raise ValueError(
+                f"generator.attack_types must be distinct, got {list(self.attack_types)}"
+            )
         for key in ("channels_a", "channels_b"):
             if getattr(self, key) not in (1, 3):  # what an 8-bit PGM or PPM raster holds
                 raise ValueError(f"generator.{key} must be 1 or 3, got {getattr(self, key)!r}")

@@ -66,12 +66,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for key in ("epochs", "batch_size"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"train.{key} must be >= 1, got {getattr(self, key)!r}")
         if not 0.0 <= self.hflip_prob <= 1.0:
-            raise ValueError("hflip_prob must be in [0, 1]")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ValueError(f"train.hflip_prob must be in [0, 1], got {self.hflip_prob!r}")
 
 
 @dataclass(frozen=True)

@@ -53,12 +53,11 @@ class LossParams:
     detach_weight: bool = False
 
     def __post_init__(self) -> None:
-        if self.alpha_bonafide < 0 or self.alpha_attack < 0:
-            raise ValueError("alpha weights must be >= 0")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        for key in ("alpha_bonafide", "alpha_attack", "gamma"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"loss.{key} must be >= 0, got {getattr(self, key)!r}")
         if not 0.0 <= self.mix_lambda <= 1.0:
-            raise ValueError("mix_lambda must be in [0, 1]")
+            raise ValueError(f"loss.mix_lambda must be in [0, 1], got {self.mix_lambda!r}")
 
     def alpha_for(self, y):
         """Per-sample class weight for labels y."""

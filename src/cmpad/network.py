@@ -10,12 +10,11 @@ contiguous batch axis. The two branch embeddings are concatenated into
 a joint embedding, and three sigmoid heads (branch A, branch B, joint)
 each apply one fully connected layer.
 
-Every conv pass runs in bounded memory that it reuses. A training step
-caches each layer's padded input, not its columns, and takes its
-transients from a Workspace that the caller keeps for the whole run.
-Scoring keeps no caches and runs the conv blocks over slices of the
-batch sized by a fixed byte budget, so its buffers stay small enough
-for the allocator to reuse instead of mapping fresh pages.
+Every conv pass runs in bounded memory that it reuses: it takes its
+transients from a Workspace, which a training run keeps for every step
+and any other pass makes for its one call. A training step caches each
+layer's padded input, not its columns. Scoring keeps no caches and runs
+the conv blocks over slices of the batch sized by a fixed byte budget.
 
 Everything runs in float64 so gradient checks can be tight. All
 randomness is seeded and parameter draws follow a fixed name order, so
@@ -59,13 +58,16 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        blocks, dims = self.blocks_per_branch, (self.input_height, self.input_width)
-        sizes = (self.channels_a, self.channels_b, self.base_filters, self.embedding_dim)
-        if min(blocks, *sizes, *dims) < 1:
-            raise ValueError("incompatible geometry: sizes and blocks must be >= 1")
-        # shifts rather than 2**blocks, which a corrupt checkpoint could make huge
-        if any(dim >> blocks << blocks != dim for dim in dims):
-            raise ValueError(f"incompatible geometry: input dims not divisible by 2^{blocks}")
+        for key, value in asdict(self).items():
+            if key != "seed" and value < 1:
+                raise ValueError(f"incompatible geometry: network.{key} must be >= 1, got {value}")
+        blocks = self.blocks_per_branch
+        for key in ("input_height", "input_width"):
+            dim = getattr(self, key)
+            # shifts rather than 2**blocks, which a corrupt checkpoint could make huge
+            if dim >> blocks << blocks != dim:
+                raise ValueError(f"incompatible geometry: network.{key} {dim} is not divisible "
+                                 f"by 2^network.blocks_per_branch = 2^{blocks}")
 
 
 @dataclass(frozen=True)
@@ -192,14 +194,15 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class Workspace:
-    """Scratch arrays a training run reuses from step to step.
+    """Scratch arrays that conv passes reuse.
 
     Each transient of a conv pass (im2col columns, the GEMM output, the
     column and padded-input gradients, the pool-backward arrays) has a
     role, and every layer of both branches shares one flat buffer per
     role, grown to the largest shape asked of it. An array taken for a
-    role is valid until the next take of that role. A run that reuses
-    one workspace maps its transient pages once instead of every step.
+    role is valid until the next take of that role. A training run that
+    reuses one workspace maps its transient pages once instead of every
+    step; a scoring pass shares one across its slices and branches.
     """
 
     __slots__ = ("_flat",)
@@ -215,17 +218,13 @@ class Workspace:
         return flat[:size].reshape(shape)
 
 
-def _take(ws: Workspace | None, role: str, shape: tuple[int, ...]) -> np.ndarray:
-    return np.empty(shape) if ws is None else ws.take(role, shape)
-
-
 def _padded(c: int, h: int, w: int, n: int) -> np.ndarray:
     """A zero (C, H+2, W+2, N) array; its producer writes the interior
     [:, 1:-1, 1:-1] in place, so the border is the conv's zero padding."""
     return np.zeros((c, h + 2, w + 2, n))
 
 
-def _im2col(xp: np.ndarray, ws: Workspace | None) -> np.ndarray:
+def _im2col(xp: np.ndarray, ws: Workspace) -> np.ndarray:
     """(C*9, H*W*N) columns of a padded input, copied in one call from a
     (C, 3, 3, H, W, N) window view; row c*9 + dy*3 + dx matches
     w.reshape(f, c*9)."""
@@ -236,25 +235,24 @@ def _im2col(xp: np.ndarray, ws: Workspace | None) -> np.ndarray:
     # as_strided, which costs about 6 us a call, three calls in a 0.3 ms
     # one-sample score
     windows = np.ndarray((c, 3, 3, h, wd, n), xp.dtype, xp, 0, (sc, sh, sw, sh, sw, sn))
-    cols = _take(ws, "cols", windows.shape)
+    cols = ws.take("cols", windows.shape)
     cols[...] = windows
     return cols.reshape(c * 9, h * wd * n)
 
 
-def _conv2d_forward(xp: np.ndarray, w: np.ndarray, b: np.ndarray,
-                    ws: Workspace | None = None) -> np.ndarray:
+def _conv2d_forward(xp: np.ndarray, w: np.ndarray, b: np.ndarray, ws: Workspace) -> np.ndarray:
     """Same-padding stride-1 3x3 convolution as one GEMM: xp is the
     padded batch-innermost input (C, H+2, W+2, N); returns (F, H, W, N)."""
     c, hp, wp, n = xp.shape
     f = w.shape[0]
     cols = _im2col(xp, ws)
-    out = np.matmul(w.reshape(f, c * 9), cols, out=_take(ws, "out", (f, cols.shape[1])))
+    out = np.matmul(w.reshape(f, c * 9), cols, out=ws.take("out", (f, cols.shape[1])))
     out += b[:, None]
     return out.reshape(f, hp - 2, wp - 2, n)
 
 
 def _conv2d_backward(dout: np.ndarray, xp: np.ndarray, w: np.ndarray, need_dx: bool,
-                     ws: Workspace | None = None):
+                     ws: Workspace):
     """(dx, dW, db) for dout (F, H, W, N) and the forward's padded input
     xp; the columns are rebuilt from xp. dx is None unless need_dx."""
     f, h, wd, n = dout.shape
@@ -265,9 +263,9 @@ def _conv2d_backward(dout: np.ndarray, xp: np.ndarray, w: np.ndarray, need_dx: b
     db = dout2.sum(axis=1)
     if not need_dx:
         return None, dw, db
-    dcols = np.matmul(w.reshape(f, c * 9).T, dout2, out=_take(ws, "dcols", (c * 9, h * wd * n)))
+    dcols = np.matmul(w.reshape(f, c * 9).T, dout2, out=ws.take("dcols", (c * 9, h * wd * n)))
     dcols = dcols.reshape(c, 9, h, wd, n)
-    dxp = _take(ws, "dxp", xp.shape)
+    dxp = ws.take("dxp", xp.shape)
     dxp.fill(0.0)
     for idx in range(9):
         dy, dx = divmod(idx, 3)
@@ -288,15 +286,14 @@ def _avgpool2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.multiply(acc, 0.25, out=acc if out is None else out)
 
 
-def _avgpool2_backward(dout: np.ndarray, mask: np.ndarray,
-                       ws: Workspace | None = None) -> np.ndarray:
+def _avgpool2_backward(dout: np.ndarray, mask: np.ndarray, ws: Workspace) -> np.ndarray:
     """Gradient through ReLU then 2x2 average pool: dout broadcasts to
     (C, H/2, W/2, N) and mask is the (C, H, W, N) ReLU mask. Repeating
     along W first keeps the broadcast write's inner loop W*N long."""
     c, h, w, n = mask.shape
-    rows = _take(ws, "pool_rows", (c, h // 2, w // 2, 2, n))
+    rows = ws.take("pool_rows", (c, h // 2, w // 2, 2, n))
     np.multiply(dout[:, :, :, None], 0.25, out=rows)
-    dx = _take(ws, "pool_dx", (c, h // 2, 2, w, n))
+    dx = ws.take("pool_dx", (c, h // 2, 2, w, n))
     np.multiply(mask.reshape(dx.shape), rows.reshape(c, h // 2, w, n)[:, :, None], out=dx)
     return dx.reshape(mask.shape)
 
@@ -310,7 +307,7 @@ class _BranchCache:
 
 
 def _branch_features(params: ParameterSet, branch: str, x: np.ndarray,
-                     cache: _BranchCache | None, ws: Workspace | None) -> np.ndarray:
+                     cache: _BranchCache | None, ws: Workspace) -> np.ndarray:
     """Last pooled activations (C_last, H', W', N) of the conv blocks;
     fills cache for the backward pass when one is given. Each layer's
     input is written straight into the interior of its padded buffer:
@@ -334,13 +331,12 @@ def _branch_features(params: ParameterSet, branch: str, x: np.ndarray,
             _avgpool2(out, out=xp[:, 1:-1, 1:-1])
         else:
             gap_in = _avgpool2(out)
-        del out  # freed before the next layer allocates its own
     return gap_in
 
 
-# Byte budget for the largest layer's im2col columns in one uncached
-# branch pass: scoring a large group runs in slices that stay well below
-# glibc's 32 MiB mmap ceiling, so their buffers are reused, not re-mapped.
+# Byte budget for the largest layer's im2col columns, the biggest
+# workspace buffer of an uncached branch pass: scoring a large group runs
+# in slices, so its workspace stays this size however many samples it holds.
 _CHUNK_BYTES = 8 << 20
 
 
@@ -356,18 +352,16 @@ def _score_chunk(cfg: NetworkConfig) -> int:
 
 
 def _branch_forward(params: ParameterSet, branch: str, x: np.ndarray,
-                    cache: _BranchCache | None, ws: Workspace | None = None):
-    """Branch embeddings (N, D). Without a cache the conv blocks run over
-    slices of at most _score_chunk samples. GAP and the embedding GEMM
-    always run once over the whole batch: with one sample they reduce
-    in a different order, so a one-sample slice would change the bits."""
-    if cache is not None:
-        gap_in = _branch_features(params, branch, x, cache, ws)
-    else:
-        k = _score_chunk(params.config)
-        parts = [_branch_features(params, branch, x[s : s + k], None, None)
-                 for s in range(0, x.shape[0], k)]
-        gap_in = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=3)
+                    cache: _BranchCache | None, ws: Workspace):
+    """Branch embeddings (N, D). The conv blocks run over slices of at
+    most _score_chunk samples without a cache, over the whole batch with
+    one. GAP and the embedding GEMM always run once over the whole batch:
+    with one sample they reduce in a different order, so a one-sample
+    slice would change the bits."""
+    k = x.shape[0] if cache is not None else _score_chunk(params.config)
+    parts = [_branch_features(params, branch, x[s : s + k], cache, ws)
+             for s in range(0, x.shape[0], k)]
+    gap_in = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=3)
     g = gap_in.mean(axis=(1, 2)).T  # (N, C_last)
     if cache is not None:
         cache.gap_in, cache.gap = gap_in, g
@@ -378,7 +372,7 @@ def _branch_forward(params: ParameterSet, branch: str, x: np.ndarray,
 
 def _branch_backward(params: ParameterSet, branch: str, cache: _BranchCache,
                      demb: np.ndarray, grads: dict[str, np.ndarray],
-                     ws: Workspace | None) -> None:
+                     ws: Workspace) -> None:
     cfg = params.config
     we = params.params[f"branch_{branch}/embed/W"]
     grads[f"branch_{branch}/embed/W"] += demb.T @ cache.gap
@@ -424,10 +418,10 @@ def _forward(params: ParameterSet, x_a, x_b, cached: bool = False,
     and a head whose branches did not run is NaN, as is the embedding of
     a branch not run. caches holds the branches run when cached, else is
     empty. An uncached pass runs each branch's conv blocks over slices
-    of at most _score_chunk samples; a cached one runs the whole batch,
-    taking its transients from ws. predict_score and
-    harness.score_samples call this uncached, so a trace of
-    forward_cached counts only passes that feed a backward."""
+    of at most _score_chunk samples, a cached one over the whole batch;
+    both branches take their transients from ws, made for this call when
+    None. predict_score and harness.score_samples call this uncached, so
+    a trace of forward_cached counts only passes that feed a backward."""
     cfg = params.config
     inputs = {}
     for branch, x, depth in (("a", x_a, cfg.channels_a), ("b", x_b, cfg.channels_b)):
@@ -437,6 +431,9 @@ def _forward(params: ParameterSet, x_a, x_b, cached: bool = False,
     if len(sizes) != 1:
         raise ValueError("channel batches disagree in length" if sizes else "no channel given")
     (n,) = sizes
+    if n == 0:
+        raise ValueError("empty batch")
+    ws = Workspace() if ws is None else ws
     emb, caches = {}, {}
     for branch, x in inputs.items():
         if cached:
@@ -476,8 +473,10 @@ def backward_from_head_grads(
     workspace: Workspace | None = None,
 ) -> dict[str, np.ndarray]:
     """Parameter gradients of the batch-mean loss, given per-sample partials
-    w.r.t. the three head probabilities."""
+    w.r.t. the three head probabilities. The conv transients come from
+    workspace, made for this call when None."""
     cache_a, cache_b = caches
+    workspace = Workspace() if workspace is None else workspace
     n = output.p.shape[0]
     d = params.config.embedding_dim
     grads = {k: np.zeros_like(v) for k, v in params.params.items()}

@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import runpy
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cmpad
-from cmpad import harness
+from cmpad import cli, harness
 from cmpad.cli import (
     DEFAULT_CONFIG, build_generator_spec, build_train_config, load_effective_config, main,
 )
@@ -129,6 +135,7 @@ class TestConfig:
         ({"channels_a": 0}, "generator.channels_a"),
         ({"channels_b": 0}, "generator.channels_b"),
         ({"attack_types": []}, "generator.attack_types"),
+        ({"attack_types": ["A_VISIBLE", "A_VISIBLE", "B_VISIBLE"]}, "generator.attack_types"),
     ])
     def test_generator_error_exit_code(self, tmp_path, capsys, generator, key):
         bad = tmp_path / "bad.json"
@@ -237,6 +244,57 @@ class TestConfig:
         assert main(["train", "--data", str(dataset), "--config", str(path),
                      "--out", str(tmp_path / "from_flag"), "--name", "n"]) == 0
         assert (tmp_path / "from_flag" / "n").is_dir()
+
+
+class ReachedWork(BaseException):
+    """Raised in place of generation or training. Not an Exception, so
+    main's catch-all cannot turn it into exit 4."""
+
+
+def reach_work(*args, **kwargs):
+    raise ReachedWork
+
+
+CONFIG_KEYS = ["out_root"] + [
+    f"{section}.{key}" for section, body in DEFAULT_CONFIG.items() if isinstance(body, dict)
+    for key in body
+]
+BOUNDARY_VALUES = (0, -1, 10**9, [], "x")
+
+
+@pytest.fixture(scope="module")
+def shared_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("boundary")
+    config = root / "tiny.json"
+    config.write_text(json.dumps(TINY))
+    assert main(["gen-data", str(root / "ds"), "--config", str(config)]) == 0
+    return root / "ds"
+
+
+# every key and value for both commands, so the search space is exhausted
+@settings(max_examples=2 * len(CONFIG_KEYS) * len(BOUNDARY_VALUES), deadline=None)
+@given(key=st.sampled_from(CONFIG_KEYS), value=st.sampled_from(BOUNDARY_VALUES),
+       command=st.sampled_from(("gen-data", "train")))
+def test_boundary_value_is_named_before_any_directory_or_reaches_work(
+        shared_dataset, key, value, command):
+    """One key of the built-in defaults set to a boundary value either
+    exits 2 naming the key before any directory exists, or reaches
+    generation or training (replaced here by ReachedWork). It never
+    exits 4."""
+    section, _, name = key.rpartition(".")
+    override = {section: {name: value}} if section else {name: value}
+    argv = ["gen-data", "ds"] if command == "gen-data" else ["train", "--data", str(shared_dataset)]
+    with (tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp),
+          mock.patch.object(cli, "generate", reach_work),
+          mock.patch.object(cli, "train", reach_work),
+          contextlib.redirect_stderr(io.StringIO()) as err):
+        Path("bad.json").write_text(json.dumps(override))
+        try:
+            code = main([*argv, "--config", "bad.json"])
+        except ReachedWork:
+            return
+        assert code == 2 and key in err.getvalue(), (code, err.getvalue())
+        assert os.listdir() == ["bad.json"]  # rejected before any directory is made
 
 
 class TestGenData:

@@ -117,7 +117,7 @@ class TestPrimitives:
         rng = np.random.default_rng(c * 1000 + h * 100 + w * 10 + n)
         x, wt, b = rng.random((c, h, w, n)), rng.normal(size=(4, c, 3, 3)), rng.normal(size=4)
         xp = padded_input(x)
-        out = _conv2d_forward(xp, wt, b)
+        out = _conv2d_forward(xp, wt, b, Workspace())
         assert out.shape == (4, h, w, n) and xp.shape == (c, h + 2, w + 2, n)
         np.testing.assert_allclose(out, conv_reference(x, wt, b), rtol=0, atol=1e-12)
 
@@ -126,17 +126,17 @@ class TestPrimitives:
         rng = np.random.default_rng(c * 1000 + h * 100 + w * 10 + n + 1)
         x, wt, b = rng.normal(size=(c, h, w, n)), rng.normal(size=(4, c, 3, 3)), rng.normal(size=4)
         dout = rng.normal(size=(4, h, w, n))
-        xp = padded_input(x)
-        out = _conv2d_forward(xp, wt, np.zeros(4))
-        dx, dw, db = _conv2d_backward(dout, xp, wt, need_dx=True)
+        xp, ws = padded_input(x), Workspace()  # one workspace, reused by every call below
+        out = _conv2d_forward(xp, wt, np.zeros(4), ws)
+        dx, dw, db = _conv2d_backward(dout, xp, wt, need_dx=True, ws=ws)
         assert dx.shape == x.shape
         inner = np.vdot(dout, out)
         for other in (np.vdot(dx, x), np.vdot(dw, wt)):
             assert abs(inner - other) <= 1e-12 * abs(inner)
-        with_bias = _conv2d_forward(xp, wt, b)
+        with_bias = _conv2d_forward(xp, wt, b, ws)
         bias_part = np.vdot(dout, with_bias) - inner
         assert abs(bias_part - np.vdot(db, b)) <= 1e-12 * np.abs(dout).sum() * np.abs(b).max()
-        no_dx, dw2, db2 = _conv2d_backward(dout, xp, wt, need_dx=False)
+        no_dx, dw2, db2 = _conv2d_backward(dout, xp, wt, need_dx=False, ws=ws)
         assert no_dx is None
         np.testing.assert_array_equal(dw2, dw)
         np.testing.assert_array_equal(db2, db)
@@ -149,11 +149,12 @@ class TestPrimitives:
         np.testing.assert_allclose(
             pooled, x.reshape(c, h // 2, 2, w // 2, 2, n).mean(axis=(2, 4)), rtol=0, atol=1e-15
         )
-        back = _avgpool2_backward(y, np.ones(x.shape, dtype=bool))
+        # a workspace per call: back must outlive the second call's take
+        back = _avgpool2_backward(y, np.ones(x.shape, dtype=bool), Workspace())
         scale = np.abs(x).sum() * np.abs(y).max()
         assert abs(np.vdot(pooled, y) - np.vdot(x, back)) <= 1e-12 * scale
         mask = rng.random(x.shape) < 0.5
-        np.testing.assert_array_equal(_avgpool2_backward(y, mask), back * mask)
+        np.testing.assert_array_equal(_avgpool2_backward(y, mask, Workspace()), back * mask)
 
 
 class TestForward:
@@ -163,6 +164,13 @@ class TestForward:
         out, _ = forward_cached(ps, xa, xb)
         for arr in (out.p, out.q, out.r):
             assert np.all(arr > 0) and np.all(arr < 1)
+
+    def test_empty_batch_rejected(self):
+        ps = init_network(CFG)
+        xa, xb, _ = rand_batch(0)
+        for call in (lambda: forward_cached(ps, xa, xb), lambda: predict_score(ps, xa, xb)):
+            with pytest.raises(ValueError, match="empty batch"):
+                call()
 
     def test_zero_head_weights_give_half(self):
         ps = init_network(CFG)
