@@ -223,15 +223,16 @@ class RunInputs:
 def open_run(args, cfg: dict, with_split: bool = False):
     """The preamble every run subcommand shares, then its run directory.
 
-    Checks the protocol section, loads --data (only the channels --head
-    needs), builds the TrainConfig or reads --checkpoint, and resolves the
-    grandtest (or the --attack leave-one-out) split when `with_split`. The
-    inputs are yielded inside the run directory, whose status marker ends
-    as done, interrupted or failed.
+    Checks the protocol and generator sections, loads --data (only the
+    channels --head needs), builds the TrainConfig or reads --checkpoint,
+    and resolves the grandtest (or the --attack leave-one-out) split when
+    `with_split`. The inputs are yielded inside the run directory, whose
+    status marker ends as done, interrupted or failed.
     """
     if args.data is None:
         raise ConfigError("--data is required for this command")
     protocol = build_protocol(cfg)
+    build_generator_spec(cfg)  # config.json echoes it, and gen-data must read that back
     samples, records = load_dataset(
         args.data, channels=HEAD_BRANCHES[getattr(args, "head", "joint")]
     )

@@ -50,8 +50,10 @@ class GeneratorSpec:
             raise ValueError(
                 f"generator.attack_strength must be in (0, 1], got {self.attack_strength!r}"
             )
-        if self.noise_sigma < 0:
-            raise ValueError(f"generator.noise_sigma must be >= 0, got {self.noise_sigma!r}")
+        if not 0 <= self.noise_sigma < float("inf"):  # written so that NaN fails it
+            raise ValueError(
+                f"generator.noise_sigma must be finite and >= 0, got {self.noise_sigma!r}"
+            )
         unknown = [t for t in self.attack_types if t not in ATTACK_TYPES]
         if unknown:
             raise ValueError(f"generator.attack_types holds unknown attack types: {unknown}")
@@ -104,11 +106,13 @@ def _identity_basis(spec: GeneratorSpec, identity_idx: int):
 
 
 def _box_blur(img: np.ndarray) -> np.ndarray:
-    padded = np.pad(img, 1, mode="edge")
+    """3x3 mean over the last two axes, edges replicated; leading axes are a stack."""
+    h, w = img.shape[-2:]
+    padded = np.pad(img, [(0, 0)] * (img.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
     out = np.zeros_like(img)
     for dy in range(3):
         for dx in range(3):
-            out += padded[dy : dy + img.shape[0], dx : dx + img.shape[1]]
+            out += padded[..., dy : dy + h, dx : dx + w]
     return out / 9.0
 
 
@@ -121,7 +125,13 @@ def _relief_view(field: np.ndarray) -> np.ndarray:
 
 
 def _quantize(img: np.ndarray) -> np.ndarray:
-    return np.floor(np.clip(img, 0.0, 1.0) * 255.0 + 0.5) / 255.0
+    """Rounds `img` to the 8-bit grid k/255 in place and returns it."""
+    np.clip(img, 0.0, 1.0, out=img)
+    img *= 255.0
+    img += 0.5
+    np.floor(img, out=img)
+    img /= 255.0
+    return img
 
 
 def _texture(spec: GeneratorSpec) -> np.ndarray:
@@ -132,64 +142,94 @@ def _texture(spec: GeneratorSpec) -> np.ndarray:
     return 0.5 * np.outer(wave, wave)
 
 
+def _identity_views(
+    spec: GeneratorSpec, identity_idx: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The noise-free views of one identity: the channel-A mean (color
+    gains times the field), (channels_a, S, S), and the channel-B relief,
+    (1, S, S). Every slot of the identity adds its own noise to these."""
+    field, gains = _identity_basis(spec, identity_idx)
+    return gains[:, None, None] * field[None, :, :], _relief_view(field)[None, :, :]
+
+
+def _bonafide_stack(
+    spec: GeneratorSpec, identity_idx: int, slots: range,
+    views: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quantized bonafide (x_a, x_b) stacks, one row per slot; each slot and
+    channel draws its noise from its own (identity, slot, purpose) stream."""
+    stacks = []
+    for purpose, channels, view in zip(
+        (_STREAM_NOISE_A, _STREAM_NOISE_B), (spec.channels_a, spec.channels_b), views
+    ):
+        shape = (channels, spec.image_size, spec.image_size)
+        noisy = np.empty((len(slots), *shape))
+        for row, slot in enumerate(slots):
+            noisy[row] = _rng(spec, identity_idx, slot, purpose).normal(
+                scale=spec.noise_sigma, size=shape
+            )
+        noisy += view
+        stacks.append(_quantize(noisy))
+    return stacks[0], stacks[1]
+
+
 def bonafide_pair(
     spec: GeneratorSpec, identity_idx: int, slot: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The bonafide observation for (identity, slot), quantized to the 8-bit
     grid. Attack samples start from exactly this pair, so the channel an
     attack does not touch is byte-equal to the bonafide draw."""
-    field, gains = _identity_basis(spec, identity_idx)
-    noise_a = _rng(spec, identity_idx, slot, _STREAM_NOISE_A).normal(
-        scale=spec.noise_sigma, size=(spec.channels_a, spec.image_size, spec.image_size)
-    )
-    noise_b = _rng(spec, identity_idx, slot, _STREAM_NOISE_B).normal(
-        scale=spec.noise_sigma, size=(spec.channels_b, spec.image_size, spec.image_size)
-    )
-    x_a = _quantize(gains[:, None, None] * field[None, :, :] + noise_a)
-    x_b = _quantize(_relief_view(field)[None, :, :] + noise_b)
-    return x_a, x_b
+    views = _identity_views(spec, identity_idx)
+    x_a, x_b = _bonafide_stack(spec, identity_idx, range(slot, slot + 1), views)
+    return x_a[0], x_b[0]
 
 
 def _apply_attack(
     spec: GeneratorSpec, attack: str, x_a: np.ndarray, x_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    """The attack on (n, C, S, S) stacks; each sample gets the same arithmetic
+    as it would alone."""
     s = spec.attack_strength
     if attack in ("A_VISIBLE", "BOTH_VISIBLE"):
-        x_a = _quantize(x_a + s * _texture(spec)[None, :, :])
+        x_a = _quantize(x_a + s * _texture(spec))
     if attack in ("B_VISIBLE", "BOTH_VISIBLE"):
         # flatten local relief: fine structure (sensor noise, sharp ridges)
         # is smoothed away entirely; the strength sets how much of the
         # remaining large-scale relief collapses toward the image mean
-        smooth = np.stack([_box_blur(_box_blur(ch)) for ch in x_b])
-        flat = x_b.mean(axis=(1, 2), keepdims=True)
+        smooth = _box_blur(_box_blur(x_b))
+        flat = x_b.mean(axis=(-2, -1), keepdims=True)
         x_b = _quantize((1.0 - s) * smooth + s * flat)
     return x_a, x_b
 
 
 def generate(spec: GeneratorSpec) -> list[MultiModalSample]:
     """Deterministic sample list: per identity, samples_per_identity bonafide
-    observations followed by the same count of each configured attack type."""
+    observations followed by the same count of each configured attack type.
+
+    Each identity's noise-free views are built once. The slots of one kind
+    are generated as one stack, and samples are views into it, so a stack
+    holds exactly the pixels of its own samples."""
     samples: list[MultiModalSample] = []
-    kinds = [BONAFIDE, *spec.attack_types]
+    n = spec.samples_per_identity
     for ident in range(spec.n_identities):
         identity = f"id{ident:03d}"
-        slot = 0
-        for kind in kinds:
-            for _ in range(spec.samples_per_identity):
-                x_a, x_b = bonafide_pair(spec, ident, slot)
-                if kind != BONAFIDE:
-                    x_a, x_b = _apply_attack(spec, kind, x_a, x_b)
-                samples.append(
-                    MultiModalSample(
-                        id=f"{identity}-{slot:04d}-{kind.lower()}",
-                        identity=identity,
-                        x_a=x_a,
-                        x_b=x_b,
-                        label=1 if kind == BONAFIDE else 0,
-                        attack_type=kind,
-                    )
+        views = _identity_views(spec, ident)
+        for k, kind in enumerate([BONAFIDE, *spec.attack_types]):
+            slots = range(k * n, (k + 1) * n)
+            x_a, x_b = _bonafide_stack(spec, ident, slots, views)
+            if kind != BONAFIDE:
+                x_a, x_b = _apply_attack(spec, kind, x_a, x_b)
+            samples.extend(
+                MultiModalSample(
+                    id=f"{identity}-{slot:04d}-{kind.lower()}",
+                    identity=identity,
+                    x_a=x_a[row],
+                    x_b=x_b[row],
+                    label=1 if kind == BONAFIDE else 0,
+                    attack_type=kind,
                 )
-                slot += 1
+                for row, slot in enumerate(slots)
+            )
     return samples
 
 

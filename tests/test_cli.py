@@ -136,14 +136,22 @@ class TestConfig:
         ({"channels_b": 0}, "generator.channels_b"),
         ({"attack_types": []}, "generator.attack_types"),
         ({"attack_types": ["A_VISIBLE", "A_VISIBLE", "B_VISIBLE"]}, "generator.attack_types"),
+        ({"image_size": 0}, "generator.image_size"),
+        ({"n_identities": -1}, "generator.n_identities"),
+        ({"attack_strength": 10**9}, "generator.attack_strength"),
     ])
-    def test_generator_error_exit_code(self, tmp_path, capsys, generator, key):
+    def test_generator_error_exit_code(self, tmp_path, dataset, capsys, generator, key):
+        # a run subcommand echoes the generator section into its config.json,
+        # so it must reject what gen-data would reject
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**TINY, "generator": {**TINY["generator"], **generator}}))
-        out = tmp_path / "ds"
-        assert main(["gen-data", str(out), "--config", str(bad)]) == 2
+        out = tmp_path / "runs"
+        assert main(["gen-data", str(out / "ds"), "--config", str(bad)]) == 2
         assert key in capsys.readouterr().err
-        assert not out.exists()  # rejected before the dataset directory is made
+        assert main(["train", "--data", str(dataset), "--config", str(bad),
+                     "--out", str(out), "--name", "bad"]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()  # rejected before any output directory is made
 
     @pytest.mark.parametrize("raw", [b"[1, 2]", b'"x"', b'{"train": {}}\xff'])
     def test_config_file_not_an_object_or_not_utf8(self, tmp_path, capsys, raw):

@@ -1,7 +1,11 @@
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from cmpad import datagen
 from cmpad.datagen import (
     ATTACK_TYPES,
     GeneratorSpec,
@@ -48,6 +52,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="generator.attack_types"):
             GeneratorSpec(attack_types=())
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])
+    def test_noise_sigma_finite_and_non_negative(self, sigma):
+        # NaN noise made every x_a pixel NaN; inf saturated every pixel to 0 or 1
+        with pytest.raises(ValueError, match="generator.noise_sigma"):
+            GeneratorSpec(noise_sigma=sigma)
+
 
 class TestDeterminism:
     def test_same_spec_same_bytes(self):
@@ -62,6 +72,63 @@ class TestDeterminism:
         a = generate(SMALL)
         b = generate(GeneratorSpec(**{**SMALL.__dict__, "seed": 6}))
         assert any(sa.x_a.tobytes() != sb.x_a.tobytes() for sa, sb in zip(a, b))
+
+
+def sample_digest(samples) -> str:
+    h = hashlib.sha256()
+    for s in samples:
+        h.update(s.id.encode())
+        h.update(s.x_a.tobytes())
+        h.update(s.x_b.tobytes())
+    return h.hexdigest()
+
+
+# sha256 over every sample's id, x_a and x_b bytes (float64, little-endian),
+# in generate's order. A change to how samples are computed must leave
+# these digests, and so every dataset built from a spec, as they are.
+PINNED = [
+    (GeneratorSpec(), "cc7983ec0fbd549a090dec956ca40ee4dd2b8e1a4f691d86cdd005a53a579545"),
+    (GeneratorSpec(image_size=8, channels_a=1, channels_b=1, samples_per_identity=1,
+                   n_identities=6),
+     "d78d60e5cbc4d90d9db812bc55a454f8bf816f11b1ec014d96460fed579ce73b"),
+    (GeneratorSpec(attack_types=("A_VISIBLE",)),
+     "bc982b4af302fc310c186eae100aabdeb6f8d96a2ad764436037633ccade7480"),
+    (GeneratorSpec(attack_types=("B_VISIBLE",)),
+     "ad5e6878b5cc3eb101dc236eaa27f9444b11696462b928cc1bc54ca9e9b33af3"),
+    (GeneratorSpec(attack_types=("BOTH_VISIBLE",)),
+     "f4fed474fccc19854629bc9c4ca028cb6b1366a2d1578338707fa17131ffac91"),
+]
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("spec, digest", PINNED, ids=["desk", "tiny", *ATTACK_TYPES])
+    def test_generate_bytes_pinned(self, spec, digest):
+        assert sample_digest(generate(spec)) == digest
+
+    def test_bonafide_pair_is_the_generated_draw(self):
+        # bonafide samples, and the channel an attack leaves alone, are bonafide_pair's bytes
+        untouched = {"bonafide": "ab", "A_VISIBLE": "b", "B_VISIBLE": "a", "BOTH_VISIBLE": ""}
+        for s in generate(SMALL):
+            ident = int(s.identity.removeprefix("id"))
+            x_a, x_b = bonafide_pair(SMALL, ident, int(s.id.split("-")[1]))
+            assert (s.x_a.tobytes() == x_a.tobytes()) == ("a" in untouched[s.attack_type])
+            assert (s.x_b.tobytes() == x_b.tobytes()) == ("b" in untouched[s.attack_type])
+
+
+class TestWork:
+    def test_identity_basis_once_per_identity(self):
+        with mock.patch.object(
+            datagen, "_identity_basis", wraps=datagen._identity_basis
+        ) as spy:
+            generate(SMALL)
+        assert spy.call_count == SMALL.n_identities
+
+    def test_samples_keep_only_their_own_pixels(self):
+        # samples may be views into a shared stack, but no stack holds
+        # pixels that no sample shows (such as pre-attack draws)
+        arrays = [a for s in generate(SMALL) for a in (s.x_a, s.x_b)]
+        owners = {id(o): o for o in (a if a.base is None else a.base for a in arrays)}
+        assert sum(o.nbytes for o in owners.values()) == sum(a.nbytes for a in arrays)
 
 
 class TestStructure:
