@@ -331,23 +331,13 @@ def make_loo(
     known = {r.attack_type for r in records if r.attack_type != BONAFIDE}
     if attack not in known:
         raise DataError(f"unknown attack {attack!r}; manifest has {sorted(known)}")
-    train_ids, dev_ids, eval_ids = _identity_folds(records, ratios, seed)
-    train = tuple(
-        r.id for r in records if r.identity in train_ids and r.attack_type != attack
-    )
-    dev = tuple(
-        r.id for r in records if r.identity in dev_ids and r.attack_type != attack
-    )
-    eval_ = tuple(
-        r.id
-        for r in records
-        if r.identity in eval_ids and r.attack_type in (BONAFIDE, attack)
-    )
+    split = make_grandtest(records, ratios=ratios, seed=seed)
+    kind = {r.id: r.attack_type for r in records}
     return ProtocolSplit(
         name=f"loo_{attack.lower()}",
-        train=train,
-        dev=dev,
-        eval=eval_,
+        train=tuple(sid for sid in split.train if kind[sid] != attack),
+        dev=tuple(sid for sid in split.dev if kind[sid] != attack),
+        eval=tuple(sid for sid in split.eval if kind[sid] in (BONAFIDE, attack)),
         excluded_attack=attack,
     )
 
@@ -366,6 +356,10 @@ def validate_split(
         if ids_seen & set(ids):
             raise DataError(f"{split.name}: folds share sample ids")
         ids_seen |= set(ids)
+        labels = {by_id[sid].label for sid in ids}
+        for label, kind in ((1, "bonafide"), (0, "attack")):
+            if label not in labels:  # no threshold or rate can be taken without both
+                raise DataError(f"{split.name}: {fold_name} fold has no {kind} sample")
     identities = {
         fold_name: {by_id[sid].identity for sid in ids}
         for fold_name, ids in folds.items()

@@ -399,6 +399,8 @@ def run_single_channel_study(
     protocol, then thresholds each head on dev separately. Reports
     per-seed ACERs and the across-seed median per cell.
     """
+    if len(seeds) == 0:
+        raise ValueError("seed list must be non-empty")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"repeated seed in {list(seeds)}")
     split = protocol_split(records, ratios, protocol_seed)

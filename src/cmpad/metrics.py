@@ -83,14 +83,6 @@ def candidate_thresholds(scores: Iterable[float]) -> np.ndarray:
     return np.concatenate(([-np.inf], mids, [np.inf]))
 
 
-def _rates_at(attacks: np.ndarray, bonafide: np.ndarray,
-              threshold: float) -> tuple[float, float]:
-    """(APCER, BPCER) at a threshold under the >=-accepts convention."""
-    apcer = float(np.count_nonzero(attacks >= threshold)) / len(attacks) if len(attacks) else 0.0
-    bpcer = float(np.count_nonzero(bonafide < threshold)) / len(bonafide) if len(bonafide) else 0.0
-    return apcer, bpcer
-
-
 def apcer_bpcer_acer(records: Sequence[ScoreRecord] | Sequence[tuple[float, int]],
                      threshold: float,
                      head: str = "joint",
@@ -98,7 +90,9 @@ def apcer_bpcer_acer(records: Sequence[ScoreRecord] | Sequence[tuple[float, int]
     attacks, bonafide = _split_scores(records, head)
     if len(attacks) == 0 or len(bonafide) == 0:
         raise ValueError("both classes must be present")
-    apcer, bpcer = _rates_at(attacks, bonafide, threshold)
+    # the >=-accepts convention: a score at the threshold is accepted as bonafide
+    apcer = float(np.count_nonzero(attacks >= threshold)) / len(attacks)
+    bpcer = float(np.count_nonzero(bonafide < threshold)) / len(bonafide)
     return MetricsReport(
         threshold=threshold,
         threshold_rule=threshold_rule,

@@ -12,9 +12,10 @@ each apply one fully connected layer.
 
 Every conv pass runs in bounded memory that it reuses: it takes its
 transients from a Workspace, which a training run keeps for every step
-and any other pass makes for its one call. A training step caches each
-layer's padded input, not its columns. Scoring keeps no caches and runs
-the conv blocks over slices of the batch sized by a fixed byte budget.
+and any other pass makes for its one call, and it runs the conv blocks
+over slices of the batch sized by a fixed byte budget, so the workspace
+does not grow with the batch. A training step caches each slice's
+padded inputs and ReLU masks, not its columns; scoring keeps no caches.
 
 Everything runs in float64 so gradient checks can be tight. All
 randomness is seeded and parameter draws follow a fixed name order, so
@@ -335,30 +336,30 @@ def _branch_features(params: ParameterSet, branch: str, x: np.ndarray,
 
 
 # Byte budget for the largest layer's im2col columns, the biggest
-# workspace buffer of an uncached branch pass: scoring a large group runs
-# in slices, so its workspace stays this size however many samples it holds.
-_CHUNK_BYTES = 8 << 20
+# workspace buffer of a branch pass: every pass runs in slices, so its
+# workspace stays this size however many samples the batch holds.
+_SLICE_BYTES = 8 << 20
 
 
 @functools.lru_cache(maxsize=8)
-def _score_chunk(cfg: NetworkConfig) -> int:
-    """Samples per uncached branch pass under _CHUNK_BYTES of columns."""
+def _slice_len(cfg: NetworkConfig) -> int:
+    """Samples per conv slice under _SLICE_BYTES of columns."""
     worst = max(
         c_in * 9 * (cfg.input_height >> i) * (cfg.input_width >> i) * 8
         for c0 in (cfg.channels_a, cfg.channels_b)
         for i, (c_in, _) in enumerate(_branch_channels(cfg, c0))
     )
-    return max(1, _CHUNK_BYTES // worst)
+    return max(1, _SLICE_BYTES // worst)
 
 
 def _branch_forward(params: ParameterSet, branch: str, x: np.ndarray,
                     cache: _BranchCache | None, ws: Workspace):
     """Branch embeddings (N, D). The conv blocks run over slices of at
-    most _score_chunk samples without a cache, over the whole batch with
-    one. GAP and the embedding GEMM always run once over the whole batch:
-    with one sample they reduce in a different order, so a one-sample
-    slice would change the bits."""
-    k = x.shape[0] if cache is not None else _score_chunk(params.config)
+    most _slice_len samples; a cache gets each slice's layers in order.
+    GAP and the embedding GEMM run once over the whole batch: with one
+    sample they reduce in a different order, so a one-sample slice would
+    change the bits."""
+    k = _slice_len(params.config)
     parts = [_branch_features(params, branch, x[s : s + k], cache, ws)
              for s in range(0, x.shape[0], k)]
     gap_in = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=3)
@@ -378,15 +379,20 @@ def _branch_backward(params: ParameterSet, branch: str, cache: _BranchCache,
     grads[f"branch_{branch}/embed/W"] += demb.T @ cache.gap
     grads[f"branch_{branch}/embed/b"] += demb.sum(axis=0)
     dg = demb @ we  # (N, C_last)
-    dcur = (dg.T / math.prod(cache.gap_in.shape[1:3]))[:, None, None, :]  # broadcast over GAP input
-    for i in reversed(range(cfg.blocks_per_branch)):
-        dpre_relu = _avgpool2_backward(dcur, cache.relu_masks[i], ws)
-        wname = f"branch_{branch}/conv{i}/W"
-        dcur, dw, db = _conv2d_backward(
-            dpre_relu, cache.padded[i], params.params[wname], need_dx=i > 0, ws=ws
-        )
-        grads[wname] += dw
-        grads[f"branch_{branch}/conv{i}/b"] += db
+    dgap = (dg.T / math.prod(cache.gap_in.shape[1:3]))[:, None, None, :]  # broadcast over GAP input
+    blocks, k = cfg.blocks_per_branch, _slice_len(cfg)
+    for j, s in enumerate(range(0, dgap.shape[3], k)):
+        # the forward's slices, in order: layer i of slice j is entry j*blocks + i
+        dcur = dgap[..., s : s + k]
+        for i in reversed(range(blocks)):
+            e = j * blocks + i
+            dpre_relu = _avgpool2_backward(dcur, cache.relu_masks[e], ws)
+            wname = f"branch_{branch}/conv{i}/W"
+            dcur, dw, db = _conv2d_backward(
+                dpre_relu, cache.padded[e], params.params[wname], need_dx=i > 0, ws=ws
+            )
+            grads[wname] += dw
+            grads[f"branch_{branch}/conv{i}/b"] += db
 
 
 def _head_forward(params: ParameterSet, head: str, emb: np.ndarray):
@@ -417,11 +423,11 @@ def _forward(params: ParameterSet, x_a, x_b, cached: bool = False,
     """(ForwardOutput, caches): a branch runs when its channel is not None,
     and a head whose branches did not run is NaN, as is the embedding of
     a branch not run. caches holds the branches run when cached, else is
-    empty. An uncached pass runs each branch's conv blocks over slices
-    of at most _score_chunk samples, a cached one over the whole batch;
-    both branches take their transients from ws, made for this call when
-    None. predict_score and harness.score_samples call this uncached, so
-    a trace of forward_cached counts only passes that feed a backward."""
+    empty. Every pass runs each branch's conv blocks over slices of at
+    most _slice_len samples, and both branches take their transients from
+    ws, made for this call when None. predict_score and
+    harness.score_samples call this uncached, so a trace of
+    forward_cached counts only passes that feed a backward."""
     cfg = params.config
     inputs = {}
     for branch, x, depth in (("a", x_a, cfg.channels_a), ("b", x_b, cfg.channels_b)):
@@ -455,8 +461,10 @@ def forward_cached(
     workspace: Workspace | None = None,
 ) -> tuple[ForwardOutput, tuple]:
     """Head probabilities for a batch of both channels, plus the
-    per-branch caches that `backward_from_head_grads` needs. The caches
-    hold fresh arrays; only the pass's transients come from workspace."""
+    per-branch caches that `backward_from_head_grads` needs: each conv
+    slice's padded inputs and ReLU masks, in fresh arrays. Only the
+    pass's transients come from workspace, which stays the size of one
+    slice however large the batch."""
     if x_a is None or x_b is None:
         raise ValueError("forward_cached needs both channels")
     out, caches = _forward(params, x_a, x_b, cached=True, ws=workspace)

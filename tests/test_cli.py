@@ -19,8 +19,10 @@ from cmpad.cli import (
     DEFAULT_CONFIG, build_generator_spec, build_train_config, load_effective_config, main,
 )
 from cmpad.datagen import GeneratorSpec
+from cmpad.datasets import load_manifest, make_grandtest, write_manifest
 from cmpad.errors import ConfigError
 from cmpad.harness import TrainConfig
+from cmpad.network import NetworkConfig, init_network, save_checkpoint
 
 TINY = {
     "generator": {
@@ -454,6 +456,23 @@ class TestRunCommands:
             assert code == 3
             assert f"{role} dataset is empty" in capsys.readouterr().err
 
+    def test_fold_without_a_class_is_data_error(self, tmp_path, tiny_config, dataset, capsys):
+        records = load_manifest(dataset)
+        dev = {r.identity for r in records if r.id in make_grandtest(records).dev}
+        kept = [r for r in records if not (r.label == 1 and r.identity in dev)]
+        write_manifest(dataset / "manifest.tsv", kept)
+        ckpt = tmp_path / "init.bin"
+        save_checkpoint(init_network(NetworkConfig(**TINY["network"])), ckpt)
+        out = tmp_path / "runs"
+        for argv, made in ((["train"], False), (["eval", "--checkpoint", str(ckpt)], False),
+                           (["loo"], True), (["single-channel", "--seeds", "0"], True)):
+            code = main([*argv, "--data", str(dataset), "--config", str(tiny_config),
+                         "--out", str(out), "--name", argv[0]])
+            assert code == 3, argv
+            assert "dev fold has no bonafide sample" in capsys.readouterr().err
+            status = out / argv[0] / "status"
+            assert status.read_text() == "failed: DataError\n" if made else not status.exists()
+
     def test_every_design_honours_protocol_section(self, tmp_path, dataset, monkeypatch):
         # a split seed and BPCER target that differ from every default
         path = tmp_path / "proto.json"
@@ -548,6 +567,14 @@ class TestRunCommands:
                 harness.run_gamma_sweep(tiny_samples, tiny_records, tiny_cfg, gammas=gammas)
         with pytest.raises(ValueError, match="repeated seed"):
             harness.run_single_channel_study(tiny_samples, tiny_records, tiny_cfg, seeds=(1, 1))
+
+    def test_designs_refuse_empty_lists(self, tiny_samples, tiny_records, tiny_cfg, tmp_path):
+        with pytest.raises(ValueError, match="gamma list must be non-empty"):
+            harness.run_gamma_sweep(tiny_samples, tiny_records, tiny_cfg, gammas=())
+        with pytest.raises(ValueError, match="seed list must be non-empty"):
+            harness.run_single_channel_study(tiny_samples, tiny_records, tiny_cfg, seeds=(),
+                                             out_dir=tmp_path)
+        assert not any(tmp_path.iterdir())  # no study file with NaN medians
 
     def test_loo_refuses_existing_run_dir(self, tmp_path, tiny_config, dataset, capsys):
         out = tmp_path / "runs"

@@ -216,3 +216,13 @@ class TestValidateSplit:
         )
         with pytest.raises(DataError, match="excluded attack present"):
             validate_split(records, bad)
+
+    @pytest.mark.parametrize("fold, label, kind", [("dev", 1, "bonafide"), ("eval", 0, "attack")])
+    def test_detects_fold_without_a_class(self, dataset_dir, fold, label, kind):
+        _, _, records = dataset_dir
+        by_id = {r.id: r for r in records}
+        split = make_grandtest(records, seed=0)
+        kept = tuple(sid for sid in getattr(split, fold) if by_id[sid].label != label)
+        bad = ProtocolSplit(**{**vars(split), "name": "bad", fold: kept})
+        with pytest.raises(DataError, match=f"bad: {fold} fold has no {kind} sample"):
+            validate_split(records, bad)

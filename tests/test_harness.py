@@ -281,7 +281,7 @@ class TestChunkedScoring:
         ]
 
         chunked, chunked_peak = traced_peak(lambda: score_samples(params, group))
-        monkeypatch.setattr(network, "_score_chunk", lambda cfg: n)  # one pass, as unchunked
+        monkeypatch.setattr(network, "_slice_len", lambda cfg: n)  # one pass, as unchunked
         whole, whole_peak = traced_peak(lambda: score_samples(params, group))
         assert chunked == whole  # every score bit-equal
         assert chunked_peak <= 0.25 * whole_peak, (chunked_peak, whole_peak)

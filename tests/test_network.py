@@ -16,7 +16,7 @@ from cmpad.network import (
     _conv2d_forward,
     _forward,
     _padded,
-    _score_chunk,
+    _slice_len,
     ForwardOutput,
     NetworkConfig,
     OptimizerConfig,
@@ -352,18 +352,47 @@ class TestWorkspace:
 
 class TestScoreChunks:
     def test_chunk_from_byte_budget(self):
-        assert _score_chunk(NetworkConfig()) == 37  # 221,184 B of layer-0 columns per sample
+        assert _slice_len(NetworkConfig()) == 37  # 221,184 B of layer-0 columns per sample
         full = NetworkConfig(input_height=224, input_width=224, blocks_per_branch=5)
-        assert _score_chunk(full) == 1  # 10.8 MB per sample, over the budget alone
+        assert _slice_len(full) == 1  # 10.8 MB per sample, over the budget alone
 
     def test_chunked_scores_equal_one_pass(self, monkeypatch):
         ps = init_network(CFG)
         xa, xb, _ = rand_batch(50)
         whole, _ = forward_cached(ps, xa, xb)
-        monkeypatch.setattr(network, "_score_chunk", lambda cfg: 7)  # 8 slices, the last of 1
+        monkeypatch.setattr(network, "_slice_len", lambda cfg: 7)  # 8 slices, the last of 1
         chunked, _ = _forward(ps, xa, xb)
         for name in ("e_p", "e_q", "p", "q", "r"):
             np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
+
+
+class TestSlicedSteps:
+    def test_step_workspace_does_not_grow_with_the_batch(self):
+        cfg = NetworkConfig()  # the desk geometry: slices of 37
+        ps, sizes = init_network(cfg), []
+        for n in (40, 120):  # 2 and 4 slices
+            ws = Workspace()
+            backward(ps, *rand_batch(n, cfg, seed=n), LossParams(), workspace=ws)
+            sizes.append(sum(buf.nbytes for buf in ws._flat.values()))
+        assert sizes[0] == sizes[1], sizes
+
+    def test_sliced_step_equals_one_slice(self, monkeypatch):
+        ps, lp = init_network(CFG), LossParams()
+        xa, xb, ys = rand_batch(50, seed=8)
+        whole_grads, whole_loss, whole = backward(ps, xa, xb, ys, lp)
+        monkeypatch.setattr(network, "_slice_len", lambda cfg: 7)  # 8 slices, the last of 1
+        runs = [backward(ps, xa, xb, ys, lp) for _ in range(2)]
+        _, (cache_a, _) = forward_cached(ps, xa, xb)
+        assert len(cache_a.padded) == 8 * CFG.blocks_per_branch
+        for grads, loss, out in runs:
+            assert loss.value == whole_loss.value
+            for name in ("e_p", "e_q", "p", "q", "r"):
+                np.testing.assert_array_equal(getattr(out, name), getattr(whole, name))
+            for name in whole_grads:
+                np.testing.assert_allclose(grads[name], whole_grads[name], rtol=1e-12,
+                                           err_msg=name)
+        for name in whole_grads:
+            assert runs[0][0][name].tobytes() == runs[1][0][name].tobytes(), name
 
 
 class TestAdam:
