@@ -48,12 +48,13 @@ from .network import (
 def _built_in_defaults() -> dict:
     """The dataclass defaults as a config document; the JSON round trip
     gives every value its JSON type (attack_types becomes a list). No
-    dataclass backs `out_root` or `protocol`."""
+    dataclass backs `out_root` or `protocol`; training derives the init
+    seed from `train.seed`, so `network.seed` is no key."""
     train = asdict(TrainConfig())
     return json.loads(json.dumps({
         "out_root": "runs",
         "generator": asdict(GeneratorSpec()),
-        "network": train.pop("network"),
+        "network": {k: v for k, v in train.pop("network").items() if k != "seed"},
         "optimizer": train.pop("optimizer"),
         "loss": train.pop("loss"),
         "train": train,

@@ -141,7 +141,8 @@ def train(
 
     Deterministic given cfg.seed: sample order is a seeded permutation
     per epoch and horizontal flips (applied jointly to both channels of
-    a sample) come from their own seeded stream.
+    a sample) come from their own seeded stream. Each step stacks its
+    batch from the samples, as `score_samples` does: no fold copy is held.
     """
     train_samples = [samples[sid] for sid in split.train]
     labels = {s.label for s in train_samples}
@@ -151,8 +152,6 @@ def train(
     net_cfg = replace(cfg.network, seed=_derived_seed(cfg.seed, "init"))
     params = init_network(net_cfg)
 
-    xa = _stack(train_samples, "a", net_cfg)
-    xb = _stack(train_samples, "b", net_cfg)
     ys = np.array([s.label for s in train_samples])
     n = len(train_samples)
 
@@ -164,8 +163,8 @@ def train(
         losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            batch_a = xa[idx]  # integer indexing copies, so the flips below stay local
-            batch_b = xb[idx]
+            batch = [train_samples[i] for i in idx]
+            batch_a, batch_b = (_stack(batch, c, net_cfg) for c in "ab")
             flip = flips[idx]
             batch_a[flip] = batch_a[flip][..., ::-1]
             batch_b[flip] = batch_b[flip][..., ::-1]

@@ -676,7 +676,11 @@ def load_checkpoint(path: str | Path) -> ParameterSet:
                 raise BadCheckpointFormat(
                     f"bad checkpoint format: unknown record group {prefix!r}"
                 )
+            if bare in groups[prefix]:
+                raise BadCheckpointFormat(f"bad checkpoint format: repeated record {name!r}")
             groups[prefix][bare] = arr
+        if buf.read(1):
+            raise BadCheckpointFormat("bad checkpoint format: bytes after the last record")
 
     expected = parameter_shapes(config)
     for group_name, group in groups.items():

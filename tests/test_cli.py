@@ -85,9 +85,11 @@ class TestConfig:
 
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"generator": {"wavelength": 3}}))
-        assert main(["gen-data", str(tmp_path / "x"), "--config", str(bad)]) == 2
-        assert "generator.wavelength" in capsys.readouterr().err
+        # network.seed is no key: training derives the init seed from train.seed
+        for section, key in (("generator", "wavelength"), ("network", "seed")):
+            bad.write_text(json.dumps({section: {key: 3}}))
+            assert main(["gen-data", str(tmp_path / "x"), "--config", str(bad)]) == 2
+            assert f"unknown config key: {section}.{key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("protocol, key", [
         ({"ratios": [0.5, 0.5, 0.5]}, "protocol.ratios"),

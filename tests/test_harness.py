@@ -81,6 +81,59 @@ class TestTrain:
         _, log2 = train(grandtest, pool, cfg)
         assert log1 == log2
 
+    def test_each_step_stacks_only_its_batch(self, grandtest, tiny_samples, tiny_cfg,
+                                             monkeypatch):
+        cfg = replace(tiny_cfg, batch_size=5)
+        sizes = []
+        real = harness._stack
+
+        def spy(samples, channel, net):
+            sizes.append(len(samples))
+            return real(samples, channel, net)
+
+        monkeypatch.setattr(harness, "_stack", spy)
+        train(grandtest, by_id(tiny_samples), cfg)
+        n = len(grandtest.train)
+        assert n > cfg.batch_size
+        assert max(sizes) <= cfg.batch_size  # no stack of the whole fold
+        assert sum(sizes) == 2 * cfg.epochs * n  # each sample once per channel and epoch
+
+    def test_batches_are_the_shuffled_flipped_samples(self, grandtest, tiny_samples, tiny_cfg,
+                                                      monkeypatch):
+        cfg = replace(tiny_cfg, batch_size=5, hflip_prob=0.5)
+        seen = []
+        real = harness.backward
+
+        def spy(params, x_a, x_b, ys, *rest):
+            seen.append((x_a.copy(), x_b.copy(), ys.copy()))
+            return real(params, x_a, x_b, ys, *rest)
+
+        monkeypatch.setattr(harness, "backward", spy)
+        pool = by_id(tiny_samples)
+        train(grandtest, pool, cfg)
+
+        # the reference batches, built as acceptance criterion 05 builds them
+        fold = [pool[sid] for sid in grandtest.train]
+        n, want, flipped = len(fold), [], 0
+        for epoch in range(cfg.epochs):
+            order = harness._stream(cfg.seed, "shuffle", epoch).permutation(n)
+            flips = harness._stream(cfg.seed, "augment", epoch).random(n) < cfg.hflip_prob
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                xa = np.stack([fold[i].x_a for i in idx])
+                xb = np.stack([fold[i].x_b for i in idx])
+                flip = flips[idx]
+                xa[flip] = xa[flip][..., ::-1]
+                xb[flip] = xb[flip][..., ::-1]
+                want.append((xa, xb, np.array([fold[i].label for i in idx])))
+                flipped += int(flip.sum())
+        assert 0 < flipped < cfg.epochs * n  # both flipped and unflipped rows occur
+        assert len(seen) == len(want)
+        for got, ref in zip(seen, want):
+            for g, r in zip(got, ref):
+                assert g.dtype == r.dtype and g.shape == r.shape
+                assert g.tobytes() == r.tobytes()
+
     def test_degenerate_split_rejected(self, grandtest, tiny_samples, tiny_cfg):
         pool = by_id(tiny_samples)
         bona_only = [

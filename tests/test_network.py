@@ -544,6 +544,28 @@ class TestCheckpoint:
             with pytest.raises(BadCheckpointFormat, match="bad checkpoint format"):
                 load_checkpoint(path)
 
+    def test_repeated_record(self, tmp_path):
+        # one more p/head_a/b record holding 42.0, counted in the header
+        path = tmp_path / "m.bin"
+        save_checkpoint(init_network(CFG), path)
+        good = path.read_bytes()
+        count_at = 16 + int.from_bytes(good[12:16], "little") + 8
+        n_records = int.from_bytes(good[count_at : count_at + 4], "little")
+        name = b"p/head_a/b"
+        extra = (len(name).to_bytes(2, "little") + name + b"\x01\x00"
+                 + np.float64(42.0).tobytes())  # tag f8, 0 dims: a scalar
+        path.write_bytes(good[:count_at] + (n_records + 1).to_bytes(4, "little")
+                         + good[count_at + 4 :] + extra)
+        with pytest.raises(BadCheckpointFormat, match="bad checkpoint format: repeated record"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_checkpoint(init_network(CFG), path)
+        path.write_bytes(path.read_bytes() + b"garbage")
+        with pytest.raises(BadCheckpointFormat, match="bad checkpoint format: bytes after"):
+            load_checkpoint(path)
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "m.bin"
         save_checkpoint(init_network(CFG), path)
