@@ -243,14 +243,13 @@ def oracle_separability(samples: Sequence[MultiModalSample], channel: str) -> fl
     optimism. This is the generator's acceptance oracle: a channel an
     attack is supposed to be invisible in must score near chance, a
     channel it is visible in must score high. Each class needs at least
-    50 samples.
+    50 samples. Centroids are running sums over the samples' own rasters,
+    so no copy of the group is made.
     """
     if channel not in ("a", "b"):
         raise ValueError(f"channel must be 'a' or 'b', got {channel!r}")
     ordered = sorted(samples, key=lambda s: s.id)
-    xs = np.stack(
-        [(s.x_a if channel == "a" else s.x_b).ravel() for s in ordered]
-    )
+    xs = [s.x_a if channel == "a" else s.x_b for s in ordered]
     ys = np.array([s.label for s in ordered])
     counts = {label: int((ys == label).sum()) for label in (0, 1)}
     if min(counts.values()) == 0:
@@ -267,12 +266,12 @@ def oracle_separability(samples: Sequence[MultiModalSample], channel: str) -> fl
     correct = 0
     for test_fold in (0, 1):
         train = fold != test_fold
-        centroids = np.stack(
-            [xs[train & (ys == label)].mean(axis=0) for label in (0, 1)]
-        )
-        test = ~train
-        d0 = np.linalg.norm(xs[test] - centroids[0], axis=1)
-        d1 = np.linalg.norm(xs[test] - centroids[1], axis=1)
-        predicted = (d1 < d0).astype(int)
-        correct += int((predicted == ys[test]).sum())
+        sums = np.zeros((2, xs[0].size))
+        for i in np.flatnonzero(train):
+            sums[ys[i]] += xs[i].ravel()  # each class's rows in order, as a mean sums them
+        centroids = sums / np.bincount(ys[train], minlength=2)[:, None]
+        for i in np.flatnonzero(~train):
+            x = xs[i].ravel()
+            d0, d1 = (np.sqrt(np.square(x - c).sum()) for c in centroids)
+            correct += int((d1 < d0) == ys[i])
     return correct / len(ys)

@@ -4,7 +4,7 @@ Directory layout:
 
     <root>/manifest.tsv
     <root>/data/<id>_a.ppm   (channel A, 8-bit; .pgm when single-channel)
-    <root>/data/<id>_b.pgm   (channel B, 8-bit synthetic)
+    <root>/data/<id>_b.pgm   (channel B, 8-bit synthetic; .ppm when 3-channel)
     <root>/data/<id>_b.d16   (channel B, 16-bit raw depth from real sensors)
 
 The manifest is one tab-separated record per line with a fixed column
@@ -188,6 +188,8 @@ def load_manifest(root: str | Path) -> list[ManifestRecord]:
         if rec.id in seen:
             raise DataError(f"duplicate sample id: {rec.id}")
         seen.add(rec.id)
+        if "/" in rec.attack_type or "\\" in rec.attack_type:  # it names a leg directory
+            raise DataError(f"{path}:{lineno}: path separator in attack type {rec.attack_type!r}")
         expected_label = 1 if rec.attack_type == BONAFIDE else 0
         if rec.label != expected_label:
             raise DataError(
@@ -195,6 +197,10 @@ def load_manifest(root: str | Path) -> list[ManifestRecord]:
                 f"{rec.attack_type!r} for sample {rec.id}"
             )
         records.append(rec)
+    kinds = sorted({r.attack_type for r in records})
+    clashes = [k for k in kinds if [o.lower() for o in kinds].count(k.lower()) > 1]
+    if clashes:  # make_loo's leg directories would be shared
+        raise DataError(f"{path}: attack types differ only in case: {clashes}")
     return records
 
 
@@ -207,9 +213,8 @@ def save_dataset(
     (root / "data").mkdir(parents=True, exist_ok=True)
     records = []
     for s in samples:
-        ext_a = "ppm" if s.x_a.shape[0] == 3 else "pgm"
-        path_a = f"data/{s.id}_a.{ext_a}"
-        path_b = f"data/{s.id}_b.pgm"
+        path_a, path_b = (f"data/{s.id}_{ch}.{'ppm' if x.shape[0] == 3 else 'pgm'}"
+                          for ch, x in (("a", s.x_a), ("b", s.x_b)))
         write_raster_8bit(root / path_a, s.x_a)
         write_raster_8bit(root / path_b, s.x_b)
         records.append(

@@ -110,10 +110,10 @@ def by_id(samples: Sequence[MultiModalSample]) -> dict[str, MultiModalSample]:
     return {s.id: s for s in samples}
 
 
-def _stack(
+def _rasters(
     samples: Sequence[MultiModalSample], channel: str, net: NetworkConfig
-) -> np.ndarray:
-    """One channel of `samples` as a batch with the network's input shape."""
+) -> list[np.ndarray]:
+    """The samples' own `channel` arrays, checked against the network's input shape."""
     arrays = [s.x_a if channel == "a" else s.x_b for s in samples]
     if any(a is None for a in arrays):
         raise DataError(f"channel {channel} not loaded for some samples")
@@ -125,7 +125,7 @@ def _stack(
             f"incompatible shapes: channel {channel} rasters are {sorted(wrong)}, "
             f"the network config expects {want}"
         )
-    return np.stack(arrays)
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +141,8 @@ def train(
 
     Deterministic given cfg.seed: sample order is a seeded permutation
     per epoch and horizontal flips (applied jointly to both channels of
-    a sample) come from their own seeded stream. Each step stacks its
-    batch from the samples, as `score_samples` does: no fold copy is held.
+    a sample) come from their own seeded stream. Each step hands the network
+    the samples' own rasters (a flip is a reversed view), as `score_samples` does.
     """
     train_samples = [samples[sid] for sid in split.train]
     labels = {s.label for s in train_samples}
@@ -164,10 +164,9 @@ def train(
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             batch = [train_samples[i] for i in idx]
-            batch_a, batch_b = (_stack(batch, c, net_cfg) for c in "ab")
-            flip = flips[idx]
-            batch_a[flip] = batch_a[flip][..., ::-1]
-            batch_b[flip] = batch_b[flip][..., ::-1]
+            batch_a, batch_b = (_rasters(batch, c, net_cfg) for c in "ab")
+            for j in np.flatnonzero(flips[idx]):
+                batch_a[j], batch_b[j] = batch_a[j][..., ::-1], batch_b[j][..., ::-1]
             grads, lv, _ = backward(params, batch_a, batch_b, ys[idx], cfg.loss, workspace)
             params = adam_step(params, grads, cfg.optimizer)
             losses.append(lv.value)
@@ -188,8 +187,8 @@ def score_samples(
     """ScoreRecords for a sample group from every channel it has loaded; a
     head whose channels are not all loaded is NaN. No backward caches are
     kept."""
-    x_a = _stack(group, "a", params.config) if all(s.x_a is not None for s in group) else None
-    x_b = _stack(group, "b", params.config) if all(s.x_b is not None for s in group) else None
+    x_a = _rasters(group, "a", params.config) if all(s.x_a is not None for s in group) else None
+    x_b = _rasters(group, "b", params.config) if all(s.x_b is not None for s in group) else None
     out, _ = _forward(params, x_a, x_b)
     return [
         ScoreRecord(

@@ -10,12 +10,13 @@ contiguous batch axis. The two branch embeddings are concatenated into
 a joint embedding, and three sigmoid heads (branch A, branch B, joint)
 each apply one fully connected layer.
 
-Every conv pass runs in bounded memory that it reuses: it takes its
-transients from a Workspace, which a training run keeps for every step
-and any other pass makes for its one call, and it runs the conv blocks
-over slices of the batch sized by a fixed byte budget, so the workspace
-does not grow with the batch. A training step caches each slice's
-padded inputs and ReLU masks, not its columns; scoring keeps no caches.
+Every conv pass takes its transients from a reusable Workspace and runs
+the conv blocks over slices of the batch sized by a fixed byte budget,
+so its memory does not grow with the batch. A batch is a list of
+(C, H, W) rasters or an (N, C, H, W) array; each raster is written
+straight into layer 0's padded buffer, the only float copy a pass makes
+of it. A training step caches each slice's padded inputs and ReLU masks,
+not its columns; scoring keeps no caches.
 
 Everything runs in float64 so gradient checks can be tight. All
 randomness is seeded and parameter draws follow a fixed name order, so
@@ -307,16 +308,16 @@ class _BranchCache:
         self.relu_masks: list[np.ndarray] = []
 
 
-def _branch_features(params: ParameterSet, branch: str, x: np.ndarray,
+def _branch_features(params: ParameterSet, branch: str, x: Sequence[np.ndarray],
                      cache: _BranchCache | None, ws: Workspace) -> np.ndarray:
-    """Last pooled activations (C_last, H', W', N) of the conv blocks;
-    fills cache for the backward pass when one is given. Each layer's
-    input is written straight into the interior of its padded buffer:
-    the centred rasters for layer 0, the previous layer's pool after."""
+    """Last pooled activations (C_last, H', W', N) of the conv blocks for N
+    rasters, filling cache when given. Each layer's input is written into the
+    interior of its padded buffer: each centred raster, then each pool."""
     cfg = params.config
-    n, c, h, w = x.shape
+    n, (c, h, w) = len(x), np.shape(x[0])
     xp = _padded(c, h, w, n)
-    np.subtract(x.transpose(1, 2, 3, 0), 0.5, out=xp[:, 1:-1, 1:-1])  # rasters arrive in [0, 1]
+    for j, raster in enumerate(x):
+        np.subtract(raster, 0.5, out=xp[:, 1:-1, 1:-1, j])  # rasters arrive in [0, 1]
     for i in range(cfg.blocks_per_branch):
         out = _conv2d_forward(
             xp, params.params[f"branch_{branch}/conv{i}/W"],
@@ -352,7 +353,7 @@ def _slice_len(cfg: NetworkConfig) -> int:
     return max(1, _SLICE_BYTES // worst)
 
 
-def _branch_forward(params: ParameterSet, branch: str, x: np.ndarray,
+def _branch_forward(params: ParameterSet, branch: str, x: Sequence[np.ndarray],
                     cache: _BranchCache | None, ws: Workspace):
     """Branch embeddings (N, D). The conv blocks run over slices of at
     most _slice_len samples; a cache gets each slice's layers in order.
@@ -361,7 +362,7 @@ def _branch_forward(params: ParameterSet, branch: str, x: np.ndarray,
     change the bits."""
     k = _slice_len(params.config)
     parts = [_branch_features(params, branch, x[s : s + k], cache, ws)
-             for s in range(0, x.shape[0], k)]
+             for s in range(0, len(x), k)]
     gap_in = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=3)
     g = gap_in.mean(axis=(1, 2)).T  # (N, C_last)
     if cache is not None:
@@ -402,16 +403,15 @@ def _head_forward(params: ParameterSet, head: str, emb: np.ndarray):
     return _sigmoid(logit)
 
 
-def _as_batch(x: np.ndarray, channels: int, cfg: NetworkConfig, what: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 3:
-        arr = arr[None]
-    if arr.ndim != 4 or arr.shape[1:] != (channels, cfg.input_height, cfg.input_width):
-        raise ValueError(
-            f"{what} shape {arr.shape} incompatible with config "
-            f"(batch, {channels}, {cfg.input_height}, {cfg.input_width})"
-        )
-    return arr
+def _as_batch(x, channels: int, cfg: NetworkConfig, what: str) -> Sequence[np.ndarray]:
+    """x as (C, H, W) rasters, uncopied; an array that is not (N, C, H, W) is one raster."""
+    if isinstance(x, np.ndarray) and x.ndim != 4:
+        x = [x]
+    want = (channels, cfg.input_height, cfg.input_width)
+    wrong = {np.shape(r) for r in x} - {want}
+    if wrong:
+        raise ValueError(f"{what} raster shapes {sorted(wrong)} incompatible with config {want}")
+    return x
 
 
 # Branches each head reads; a pass computes a head only when all of them ran.
@@ -433,7 +433,7 @@ def _forward(params: ParameterSet, x_a, x_b, cached: bool = False,
     for branch, x, depth in (("a", x_a, cfg.channels_a), ("b", x_b, cfg.channels_b)):
         if x is not None:
             inputs[branch] = _as_batch(x, depth, cfg, f"channel-{branch.upper()} input")
-    sizes = {x.shape[0] for x in inputs.values()}
+    sizes = {len(x) for x in inputs.values()}
     if len(sizes) != 1:
         raise ValueError("channel batches disagree in length" if sizes else "no channel given")
     (n,) = sizes
@@ -457,7 +457,7 @@ def _forward(params: ParameterSet, x_a, x_b, cached: bool = False,
 
 
 def forward_cached(
-    params: ParameterSet, x_a: np.ndarray, x_b: np.ndarray,
+    params: ParameterSet, x_a: Sequence[np.ndarray], x_b: Sequence[np.ndarray],
     workspace: Workspace | None = None,
 ) -> tuple[ForwardOutput, tuple]:
     """Head probabilities for a batch of both channels, plus the
@@ -507,8 +507,8 @@ def backward_from_head_grads(
 
 def backward(
     params: ParameterSet,
-    x_a: np.ndarray,
-    x_b: np.ndarray,
+    x_a: Sequence[np.ndarray],
+    x_b: Sequence[np.ndarray],
     labels: Sequence[int],
     loss_params: LossParams,
     workspace: Workspace | None = None,
@@ -573,7 +573,7 @@ def predict_score(
         raise ValueError(f"channel unavailable for head: need channel {missing[0]}")
     out, _ = _forward(params, given.get("a"), given.get("b"))
     scores = {"a": out.p, "b": out.q, "joint": out.r}[head]
-    single = any(np.ndim(x) == 3 for x in given.values())
+    single = any(isinstance(x, np.ndarray) and x.ndim == 3 for x in given.values())
     return float(scores[0]) if single and scores.shape[0] == 1 else scores
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -219,6 +220,27 @@ class TestSeparabilityOracle:
     def test_visible_channel_separable(self, stat_samples):
         group = by_type(stat_samples, "bonafide") + by_type(stat_samples, "A_VISIBLE")
         assert oracle_separability(group, "a") >= 0.90
+
+    def test_reads_the_group_in_place(self, stat_samples):
+        group = by_type(stat_samples, "bonafide") + by_type(stat_samples, "BOTH_VISIBLE")
+        pixel_bytes = sum(s.x_a.nbytes for s in group)
+        tracemalloc.start()
+        try:
+            oracle_separability(group, "a")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < pixel_bytes / 10, (peak, pixel_bytes)
+
+    def test_desk_table_values(self):
+        # the table `cmpad gen-data` prints for configs/desk.json: 144 + 144 samples a row
+        samples = generate(GeneratorSpec())
+        bona = by_type(samples, "bonafide")
+        want = {"A_VISIBLE": (288, 145), "B_VISIBLE": (151, 210), "BOTH_VISIBLE": (288, 213)}
+        for attack, (correct_a, correct_b) in want.items():
+            group = bona + by_type(samples, attack)
+            assert oracle_separability(group, "a") == correct_a / 288
+            assert oracle_separability(group, "b") == correct_b / 288
 
     def test_single_class_rejected(self, stat_samples):
         with pytest.raises(ValueError, match="both classes"):

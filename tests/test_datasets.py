@@ -1,6 +1,10 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from cmpad.cli import main
 from cmpad.datagen import GeneratorSpec, generate
 from cmpad.datasets import (
     ManifestRecord,
@@ -123,6 +127,59 @@ class TestDatasetRoundtrip:
             p.unlink()
         loaded, _ = load_dataset(root, channels=("b",))
         assert all(s.x_a is None and s.x_b is not None for s in loaded)
+
+
+    @pytest.mark.parametrize("channels, ext, magic", [(1, "pgm", b"P5"), (3, "ppm", b"P6")])
+    def test_channel_b_file_follows_its_channel_count(self, tmp_path, channels, ext, magic):
+        samples = generate(GeneratorSpec(image_size=16, n_identities=6, samples_per_identity=2,
+                                         channels_b=channels, seed=21))
+        records = save_dataset(samples, tmp_path / "ds")
+        assert all(r.path_b.endswith(f"_b.{ext}") for r in records)
+        assert (tmp_path / "ds" / records[0].path_b).read_bytes().startswith(magic)
+        loaded, _ = load_dataset(tmp_path / "ds")
+        for s, back in zip(samples, loaded):
+            np.testing.assert_array_equal(back.x_b, s.x_b)
+
+
+class TestManifestAttackTypes:
+    """Attack types name the leave-one-out leg directories (loo_<type in lower case>)."""
+
+    @staticmethod
+    def rename(records, old, new):
+        return [replace(r, attack_type=new) if r.attack_type == old else r for r in records]
+
+    @pytest.mark.parametrize("name", ["../../escaped", "a\\b", "B/VISIBLE"])
+    def test_path_separator_rejected(self, dataset_dir, name):
+        root, _, records = dataset_dir
+        write_manifest(root / "manifest.tsv", self.rename(records, "B_VISIBLE", name))
+        line = 2 + next(i for i, r in enumerate(records) if r.attack_type == "B_VISIBLE")
+        with pytest.raises(DataError, match=f"manifest.tsv:{line}: path separator"):
+            load_manifest(root)
+
+    def test_case_collision_rejected(self, dataset_dir):
+        root, _, records = dataset_dir
+        renamed = self.rename(self.rename(records, "A_VISIBLE", "b_visible"),
+                              "B_VISIBLE", "B_visible")
+        write_manifest(root / "manifest.tsv", renamed)
+        with pytest.raises(DataError, match=r"differ only in case: \['B_visible', 'b_visible'\]"):
+            load_manifest(root)
+
+    def test_loo_exits_3_and_writes_nothing(self, dataset_dir, tmp_path):
+        root, _, records = dataset_dir
+        write_manifest(root / "manifest.tsv", self.rename(records, "B_VISIBLE", "../../../escaped"))
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps({
+            "network": {"input_height": 16, "input_width": 16, "blocks_per_branch": 2,
+                        "base_filters": 4, "embedding_dim": 8},
+            "train": {"epochs": 1},
+        }))
+        before = sorted(tmp_path.rglob("*"))
+        code = main(["loo", "--data", str(root), "--config", str(config),
+                     "--out", str(tmp_path / "runs"), "--name", "loo"])
+        assert code == 3
+        made = sorted(set(tmp_path.rglob("*")) - set(before))
+        assert all(p.is_relative_to(tmp_path / "runs" / "loo") for p in made if p.is_file()), made
+        assert not (tmp_path / "runs" / "escaped").exists()
 
 
 class TestGrandtest:

@@ -85,13 +85,13 @@ class TestTrain:
                                              monkeypatch):
         cfg = replace(tiny_cfg, batch_size=5)
         sizes = []
-        real = harness._stack
+        real = harness._rasters
 
         def spy(samples, channel, net):
             sizes.append(len(samples))
             return real(samples, channel, net)
 
-        monkeypatch.setattr(harness, "_stack", spy)
+        monkeypatch.setattr(harness, "_rasters", spy)
         train(grandtest, by_id(tiny_samples), cfg)
         n = len(grandtest.train)
         assert n > cfg.batch_size
@@ -105,7 +105,7 @@ class TestTrain:
         real = harness.backward
 
         def spy(params, x_a, x_b, ys, *rest):
-            seen.append((x_a.copy(), x_b.copy(), ys.copy()))
+            seen.append((np.stack(x_a), np.stack(x_b), ys.copy()))
             return real(params, x_a, x_b, ys, *rest)
 
         monkeypatch.setattr(harness, "backward", spy)
@@ -133,6 +133,34 @@ class TestTrain:
             for g, r in zip(got, ref):
                 assert g.dtype == r.dtype and g.shape == r.shape
                 assert g.tobytes() == r.tobytes()
+
+    def test_batches_are_views_of_the_samples(self, grandtest, tiny_samples, tiny_cfg,
+                                              monkeypatch):
+        # the network's padded buffer is the only copy a step makes of its pixels
+        cfg = replace(tiny_cfg, batch_size=5, hflip_prob=0.5)
+        pool = by_id(tiny_samples)
+        fold = [pool[sid] for sid in grandtest.train]
+        seen = []
+        real = harness.backward
+
+        def spy(params, x_a, x_b, ys, *rest):
+            seen.append((list(x_a), list(x_b)))
+            return real(params, x_a, x_b, ys, *rest)
+
+        monkeypatch.setattr(harness, "backward", spy)
+        train(grandtest, pool, cfg)
+        n, flipped, k = len(fold), 0, 0
+        for epoch in range(cfg.epochs):
+            order = harness._stream(cfg.seed, "shuffle", epoch).permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                xs_a, xs_b = seen[k]
+                k += 1
+                for i, x_a, x_b in zip(order[start : start + cfg.batch_size], xs_a, xs_b):
+                    assert np.shares_memory(x_a, fold[i].x_a)
+                    assert np.shares_memory(x_b, fold[i].x_b)
+                    flipped += x_a is not fold[i].x_a
+        assert k == len(seen)
+        assert 0 < flipped < cfg.epochs * n  # flipped rows are views too
 
     def test_degenerate_split_rejected(self, grandtest, tiny_samples, tiny_cfg):
         pool = by_id(tiny_samples)
@@ -316,8 +344,26 @@ class TestScoringKeepsNoCaches:
         (out, _), cached_peak = traced_peak(lambda: forward_cached(params, xa, xb))
         for field_name, probs in (("score_p", out.p), ("score_q", out.q), ("score_r", out.r)):
             np.testing.assert_array_equal([getattr(r, field_name) for r in records], probs)
-        # the scoring peak includes stacking the inputs; forward_cached's does not
+        # neither pass copies its inputs outside the layer-0 padded buffer
         assert score_peak <= 0.6 * cached_peak, (score_peak, cached_peak)
+
+    def test_network_reads_the_samples_own_rasters(self, grandtest, tiny_samples, tiny_cfg,
+                                                   monkeypatch):
+        params = init_network(tiny_cfg.network)
+        group = [by_id(tiny_samples)[sid] for sid in grandtest.eval]
+        seen = []
+        real = harness._forward
+
+        def spy(params, x_a, x_b, *rest, **kw):
+            seen.append((x_a, x_b))
+            return real(params, x_a, x_b, *rest, **kw)
+
+        monkeypatch.setattr(harness, "_forward", spy)
+        score_samples(params, group)
+        ((x_a, x_b),) = seen
+        assert len(x_a) == len(x_b) == len(group)
+        for s, a, b in zip(group, x_a, x_b):
+            assert a is s.x_a and b is s.x_b
 
 
 class TestChunkedScoring:

@@ -8,6 +8,7 @@ from cmpad.errors import (
     CheckpointVersionMismatch,
     TruncatedCheckpoint,
 )
+from cmpad.datasets import read_channel, write_raster_8bit
 from cmpad.losses import LossParams, combined_loss
 from cmpad.network import (
     _avgpool2,
@@ -478,6 +479,50 @@ class TestPredictScore:
         xa, xb, _ = rand_batch(1)
         score = predict_score(ps, xa[0], xb[0], head="joint")
         assert isinstance(score, float)
+
+
+class TestRasterLists:
+    """A batch may be a list of (C, H, W) rasters, read where they lie."""
+
+    @pytest.fixture()
+    def rasters(self, tmp_path):
+        xa, xb, ys = rand_batch(5, seed=6)
+        xa, xb = np.round(xa * 255) / 255, np.round(xb * 255) / 255
+        write_raster_8bit(tmp_path / "x.ppm", xa[0])
+        list_a = [read_channel(tmp_path / "x.ppm"), xa[1][..., ::-1], *xa[2:]]
+        list_b = [xb[0], xb[1][..., ::-1], *xb[2:]]
+        assert not list_a[0].flags.c_contiguous  # channel-last strides, as PPM data loads
+        return list_a, list_b, ys
+
+    def test_predict_score_same_bytes_as_the_stack(self, rasters):
+        ps = init_network(CFG)
+        list_a, list_b, _ = rasters
+        stack_a, stack_b = np.stack(list_a), np.stack(list_b)
+        for head in ("a", "b", "joint"):
+            batch = predict_score(ps, list_a, list_b, head=head)
+            assert batch.tobytes() == predict_score(ps, stack_a, stack_b, head=head).tobytes()
+            for i in range(len(list_a)):
+                single = predict_score(ps, list_a[i], list_b[i], head=head)
+                assert isinstance(single, float)
+                assert single == predict_score(ps, stack_a[i], stack_b[i], head=head)
+
+    def test_backward_same_bytes_as_the_stack(self, rasters):
+        ps = init_network(CFG)
+        list_a, list_b, ys = rasters
+        grads, loss, out = backward(ps, list_a, list_b, ys, LossParams())
+        want_grads, want_loss, want_out = backward(ps, np.stack(list_a), np.stack(list_b), ys,
+                                                   LossParams())
+        assert loss.value == want_loss.value
+        assert out.r.tobytes() == want_out.r.tobytes()
+        for name in want_grads:
+            assert grads[name].tobytes() == want_grads[name].tobytes(), name
+
+    def test_wrong_raster_in_a_list_names_the_shapes(self, rasters):
+        ps = init_network(CFG)
+        list_a, list_b, _ = rasters
+        list_a[3] = list_a[3][:, :, :8]
+        with pytest.raises(ValueError, match=r"\(3, 16, 8\).*\(3, 16, 16\)"):
+            predict_score(ps, list_a, list_b)
 
 
 class TestCheckpoint:
