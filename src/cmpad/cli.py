@@ -9,8 +9,8 @@ from the echoed config reproduces the run bit-exactly.
 Exit codes: 0 success, 2 config error, 3 data error, 4 runtime error.
 
 The built-in defaults are the desk-scale profile (32x32 images, small
-backbone, 10 epochs); they train in CPU-minutes. Every section but
-`protocol` is built from a config dataclass, whose defaults are these.
+backbone, 10 epochs); they train in CPU-minutes. Every section is built
+from a config dataclass, whose defaults are these.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .datagen import BONAFIDE, GeneratorSpec, generate, oracle_separability
+from .datagen import BONAFIDE, SEED_LIMIT, GeneratorSpec, generate, oracle_separability
 from .datasets import ProtocolSplit, load_dataset, save_dataset
 from .errors import CmpadError, ConfigError, DataError
 from .harness import (
+    Protocol,
     TrainConfig,
     by_id,
     dump_score_distributions,
@@ -41,15 +42,17 @@ from .harness import (
     train,
 )
 from .losses import LossParams
+from .metrics import write_json
 from .network import (
     HEAD_BRANCHES, NetworkConfig, OptimizerConfig, ParameterSet, load_checkpoint, save_checkpoint,
 )
 
 def _built_in_defaults() -> dict:
     """The dataclass defaults as a config document; the JSON round trip
-    gives every value its JSON type (attack_types becomes a list). No
-    dataclass backs `out_root` or `protocol`; training derives the init
-    seed from `train.seed`, so `network.seed` is no key."""
+    gives every value its JSON type (attack_types and ratios become
+    lists). Every section comes from its dataclass, and only `out_root`
+    has none; training derives the init seed from `train.seed`, so
+    `network.seed` is no key."""
     train = asdict(TrainConfig())
     return json.loads(json.dumps({
         "out_root": "runs",
@@ -58,7 +61,7 @@ def _built_in_defaults() -> dict:
         "optimizer": train.pop("optimizer"),
         "loss": train.pop("loss"),
         "train": train,
-        "protocol": {"ratios": [0.5, 0.25, 0.25], "seed": 0, "bpcer_target": 0.01},
+        "protocol": asdict(Protocol()),
     }))
 
 
@@ -128,23 +131,11 @@ def build_train_config(cfg: dict) -> TrainConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def build_protocol(cfg: dict) -> dict:
-    """The protocol section as the experiment designs' keywords.
-
-    `ratios` must be three non-negative fractions summing to 1 and
-    `bpcer_target` a fraction in [0, 1]; `_merge_config` has already
-    checked the type of every key (so `seed` is an int).
-    """
-    proto = cfg["protocol"]
-    ratios, target = proto["ratios"], proto["bpcer_target"]
-    fractions = all(type(r) in (int, float) and r >= 0 for r in ratios)
-    if not (fractions and len(ratios) == 3 and abs(sum(ratios) - 1.0) <= 1e-9):
-        raise ConfigError(
-            f"protocol.ratios must be three fractions >= 0 summing to 1, got {ratios!r}"
-        )
-    if not 0.0 <= target <= 1.0:
-        raise ConfigError(f"protocol.bpcer_target must be in [0, 1], got {target!r}")
-    return dict(ratios=ratios, protocol_seed=proto["seed"], bpcer_target=target)
+def build_protocol(cfg: dict) -> Protocol:
+    try:
+        return Protocol(**cfg["protocol"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _print_table(rows: list[list[str]], header: list[str]) -> None:
@@ -182,7 +173,7 @@ def cmd_gen_data(args, cfg: dict) -> int:
     _check_output_dir(out, args.force, "output directory")
     samples = generate(spec)
     save_dataset(samples, out, force=True)
-    (out / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+    write_json(out / "config.json", cfg)
 
     counts: dict[str, int] = {}
     for s in samples:
@@ -216,7 +207,7 @@ class RunInputs:
     train_cfg: TrainConfig | None  # subcommands that train
     params: ParameterSet | None  # subcommands that read --checkpoint
     split: ProtocolSplit | None  # subcommands that work on one protocol split
-    protocol: dict  # the protocol section as the experiment designs' keywords
+    protocol: Protocol
     out: Path
 
 
@@ -245,14 +236,11 @@ def open_run(args, cfg: dict, with_split: bool = False):
         train_cfg, params = None, load_checkpoint(args.checkpoint)
     split = None
     if with_split:
-        split = protocol_split(
-            records, protocol["ratios"], protocol["protocol_seed"],
-            attack=getattr(args, "attack", None),
-        )
+        split = protocol_split(records, protocol, attack=getattr(args, "attack", None))
     out = Path(cfg["out_root"]) / args.name
     _check_output_dir(out, args.force, "run directory")
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+    write_json(out / "config.json", cfg)
     status = out / "status"
     status.write_text("running\n")
     try:
@@ -284,7 +272,7 @@ def cmd_eval(args, cfg: dict) -> int:
     with open_run(args, cfg, with_split=True) as run:
         report, _, _ = evaluate(
             run.params, run.split, by_id(run.samples), head=args.head,
-            threshold_rule=args.rule, bpcer_target=run.protocol["bpcer_target"],
+            threshold_rule=args.rule, bpcer_target=run.protocol.bpcer_target,
             out_dir=run.out,
         )
     _print_table(
@@ -298,7 +286,7 @@ def cmd_eval(args, cfg: dict) -> int:
 def cmd_loo(args, cfg: dict) -> int:
     with open_run(args, cfg) as run:
         result = run_loo(
-            run.samples, run.records, run.train_cfg, out_dir=run.out, **run.protocol
+            run.samples, run.records, run.train_cfg, out_dir=run.out, protocol=run.protocol
         )
     rows = [
         [r.attack, _pct(r.report.apcer), _pct(r.report.bpcer), _pct(r.report.acer)]
@@ -315,7 +303,7 @@ def cmd_sweep_gamma(args, cfg: dict) -> int:
     with open_run(args, cfg) as run:
         results = run_gamma_sweep(
             run.samples, run.records, run.train_cfg, gammas=args.gammas,
-            out_dir=run.out, **run.protocol,
+            out_dir=run.out, protocol=run.protocol,
         )
     rows = [
         [f"{g:g}", f"{_pct(r.acer_mean)}±{_pct(r.acer_std)}"]
@@ -329,7 +317,7 @@ def cmd_single_channel(args, cfg: dict) -> int:
     with open_run(args, cfg) as run:
         study = run_single_channel_study(
             run.samples, run.records, run.train_cfg, seeds=args.seeds,
-            out_dir=run.out, **run.protocol,
+            out_dir=run.out, protocol=run.protocol,
         )
     rows = []
     for variant in ("bce", "cmfl"):
@@ -348,7 +336,7 @@ def cmd_xdb(args, cfg: dict) -> int:
     with open_run(args, cfg) as run:
         result = run_cross_dataset(
             (run.samples, run.records), target, run.train_cfg, out_dir=run.out,
-            ratios=run.protocol["ratios"], protocol_seed=run.protocol["protocol_seed"],
+            protocol=run.protocol,
         )
     _print_table(
         [
@@ -391,9 +379,9 @@ def _add_common(p: argparse.ArgumentParser, needs_data=True, trains=True) -> Non
         p.add_argument("--epochs", type=int, help="training epochs override")
 
 
-def _comma_list(kind: type, minimum: float = -math.inf):
+def _comma_list(kind: type, minimum: float = -math.inf, limit: float = math.inf):
     """An argparse type that reads a non-empty comma-separated list of
-    distinct finite `kind` values, none below `minimum`. Floats must also
+    distinct finite `kind` values in [`minimum`, `limit`). Floats must also
     differ as printed with `:g`, which names sweep legs, table rows and
     loss-curve columns."""
     def parse(text: str) -> list:
@@ -401,7 +389,7 @@ def _comma_list(kind: type, minimum: float = -math.inf):
             values = [kind(x) for x in text.split(",") if x != ""]
         except ValueError:
             values = []
-        if not values or not all(math.isfinite(v) and v >= minimum for v in values):
+        if not values or not all(math.isfinite(v) and minimum <= v < limit for v in values):
             raise argparse.ArgumentTypeError(f"bad {kind.__name__} list: {text!r}")
         if len({f"{v:g}" if kind is float else v for v in values}) != len(values):
             raise argparse.ArgumentTypeError(f"repeated value in {kind.__name__} list: {text!r}")
@@ -448,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("single-channel", help="single-channel deployment study")
     _add_common(p)
     p.add_argument(
-        "--seeds", type=_comma_list(int), default=[0, 1, 2, 3, 4],
-        help="comma-separated training seeds (default 0,1,2,3,4)",
+        "--seeds", type=_comma_list(int, minimum=0, limit=SEED_LIMIT), default=[0, 1, 2, 3, 4],
+        help="comma-separated training seeds, each in [0, 2**31) (default 0,1,2,3,4)",
     )
     p.set_defaults(func=cmd_single_channel)
 

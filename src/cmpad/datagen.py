@@ -66,7 +66,17 @@ class GeneratorSpec:
         for key in ("channels_a", "channels_b"):
             if getattr(self, key) not in (1, 3):  # what an 8-bit PGM or PPM raster holds
                 raise ValueError(f"generator.{key} must be 1 or 3, got {getattr(self, key)!r}")
+        check_seed("generator.seed", self.seed)
         object.__setattr__(self, "attack_types", tuple(self.attack_types))
+
+
+SEED_LIMIT = 2**31
+
+
+def check_seed(key: str, seed: int) -> None:
+    """Config seeds lie in [0, 2**31); every one of them names its own streams."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"{key} must be in [0, 2**31), got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -82,7 +92,7 @@ class MultiModalSample:
 
 
 def _rng(spec: GeneratorSpec, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([spec.seed & 0x7FFFFFFF, *key]))
+    return np.random.default_rng(np.random.SeedSequence([spec.seed, *key]))
 
 
 def _identity_basis(spec: GeneratorSpec, identity_idx: int):

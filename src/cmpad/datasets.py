@@ -188,8 +188,16 @@ def load_manifest(root: str | Path) -> list[ManifestRecord]:
         if rec.id in seen:
             raise DataError(f"duplicate sample id: {rec.id}")
         seen.add(rec.id)
-        if "/" in rec.attack_type or "\\" in rec.attack_type:  # it names a leg directory
-            raise DataError(f"{path}:{lineno}: path separator in attack type {rec.attack_type!r}")
+        # it names make_loo's leg directory, loo_<attack type lower-cased>
+        if any(c in rec.attack_type for c in "/\\\0"):
+            raise DataError(
+                f"{path}:{lineno}: path separator or NUL in attack type {rec.attack_type!r}"
+            )
+        if len(f"loo_{rec.attack_type.lower()}".encode()) > 255:  # the usual file-name limit
+            raise DataError(
+                f"{path}:{lineno}: attack type {rec.attack_type[:20]!r}... makes a leg "
+                "directory name longer than 255 bytes"
+            )
         expected_label = 1 if rec.attack_type == BONAFIDE else 0
         if rec.label != expected_label:
             raise DataError(
@@ -293,7 +301,7 @@ def _identity_folds(
     identities = sorted({r.identity for r in records})
     if len(identities) < 3:
         raise DataError(f"too few identities for a 3-fold split: {len(identities)}")
-    rng = np.random.default_rng(np.random.SeedSequence([seed & 0x7FFFFFFF, 77]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 77]))
     order = list(identities)
     rng.shuffle(order)
     counts = _apportion(len(order), ratios)

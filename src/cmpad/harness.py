@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datagen import BONAFIDE, MultiModalSample
+from .datagen import BONAFIDE, MultiModalSample, check_seed
 from .datasets import ManifestRecord, ProtocolSplit, make_grandtest, make_loo, validate_split
 from .errors import DataError
 from .losses import LossParams, binary_ce, cmfl
@@ -29,6 +29,7 @@ from .metrics import (
     apcer_bpcer_acer,
     eer_threshold,
     threshold_at_bpcer,
+    write_json,
     write_report,
     write_score_file,
 )
@@ -71,6 +72,29 @@ class TrainConfig:
                 raise ValueError(f"train.{key} must be >= 1, got {getattr(self, key)!r}")
         if not 0.0 <= self.hflip_prob <= 1.0:
             raise ValueError(f"train.hflip_prob must be in [0, 1], got {self.hflip_prob!r}")
+        check_seed("train.seed", self.seed)
+
+
+@dataclass(frozen=True)
+class Protocol:
+    """The protocol section: the identity `ratios` of train, dev and eval,
+    the split `seed`, and the dev BPCER the `bpcer` threshold rule aims at."""
+
+    ratios: tuple[float, ...] = (0.5, 0.25, 0.25)
+    seed: int = 0
+    bpcer_target: float = 0.01
+
+    def __post_init__(self) -> None:
+        ratios = self.ratios
+        fractions = all(type(r) in (int, float) and r >= 0 for r in ratios)
+        if not (fractions and len(ratios) == 3 and abs(sum(ratios) - 1.0) <= 1e-9):
+            raise ValueError(
+                f"protocol.ratios must be three fractions >= 0 summing to 1, got {ratios!r}"
+            )
+        check_seed("protocol.seed", self.seed)
+        if not 0.0 <= self.bpcer_target <= 1.0:
+            raise ValueError(f"protocol.bpcer_target must be in [0, 1], got {self.bpcer_target!r}")
+        object.__setattr__(self, "ratios", tuple(ratios))
 
 
 @dataclass(frozen=True)
@@ -96,9 +120,7 @@ def config_hash(cfg: TrainConfig) -> str:
 
 
 def _derived_seed(master: int, label: str, *index: int) -> int:
-    ss = np.random.SeedSequence(
-        [master & 0x7FFFFFFF, _STREAM_LABELS[label], *index]
-    )
+    ss = np.random.SeedSequence([master, _STREAM_LABELS[label], *index])
     return int(ss.generate_state(1)[0])
 
 
@@ -257,17 +279,14 @@ def evaluate(
 
 
 def protocol_split(
-    records: Sequence[ManifestRecord],
-    ratios: Sequence[float] = (0.5, 0.25, 0.25),
-    protocol_seed: int = 0,
-    attack: str | None = None,
+    records: Sequence[ManifestRecord], protocol: Protocol, attack: str | None = None
 ) -> ProtocolSplit:
     """The validated grandtest split, or the leave-one-out split holding out
     `attack`."""
     if attack is None:
-        split = make_grandtest(records, ratios=ratios, seed=protocol_seed)
+        split = make_grandtest(records, ratios=protocol.ratios, seed=protocol.seed)
     else:
-        split = make_loo(records, attack, ratios=ratios, seed=protocol_seed)
+        split = make_loo(records, attack, ratios=protocol.ratios, seed=protocol.seed)
     validate_split(records, split)
     return split
 
@@ -303,9 +322,7 @@ def run_loo(
     records: Sequence[ManifestRecord],
     cfg: TrainConfig,
     out_dir: str | Path | None = None,
-    ratios: Sequence[float] = (0.5, 0.25, 0.25),
-    protocol_seed: int = 0,
-    bpcer_target: float = 0.01,
+    protocol: Protocol = Protocol(),
 ) -> ExperimentResult:
     """One leg per attack type, leave-one-out; aggregates ACER."""
     t0 = time.monotonic()
@@ -315,9 +332,11 @@ def run_loo(
     pool = by_id(samples)
     rows = []
     for attack in attacks:
-        split = protocol_split(records, ratios, protocol_seed, attack=attack)
+        split = protocol_split(records, protocol, attack=attack)
         leg_dir = Path(out_dir) / split.name if out_dir is not None else None
-        _, report, _, _ = run_leg(split, pool, cfg, bpcer_target=bpcer_target, out_dir=leg_dir)
+        _, report, _, _ = run_leg(
+            split, pool, cfg, bpcer_target=protocol.bpcer_target, out_dir=leg_dir
+        )
         rows.append(ProtocolOutcome(split.name, attack, report))
     acers = np.array([r.report.acer for r in rows])
     result = ExperimentResult(
@@ -345,9 +364,7 @@ def _write_experiment_summary(out_dir: Path, result: ExperimentResult) -> None:
         "config_hash": result.config_hash,
         "seed": result.seed,
     }
-    (out_dir / "summary.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out_dir / "summary.json", payload)
     (out_dir / "run_meta.json").write_text(
         json.dumps({"wall_time_s": result.wall_time_s}) + "\n"
     )
@@ -359,9 +376,7 @@ def run_gamma_sweep(
     cfg: TrainConfig,
     gammas: Sequence[float] = (0.0, 1.0, 2.0, 3.0, 4.0),
     out_dir: str | Path | None = None,
-    ratios: Sequence[float] = (0.5, 0.25, 0.25),
-    protocol_seed: int = 0,
-    bpcer_target: float = 0.01,
+    protocol: Protocol = Protocol(),
 ) -> dict[float, ExperimentResult]:
     """Full leave-one-out run per focusing exponent; gamma 0 is the
     plain-BCE baseline by construction."""
@@ -375,8 +390,7 @@ def run_gamma_sweep(
         sweep_cfg = replace(cfg, loss=replace(cfg.loss, gamma=float(gamma)))
         leg_out = Path(out_dir) / leg if out_dir is not None else None
         results[float(gamma)] = run_loo(
-            samples, records, sweep_cfg, out_dir=leg_out, ratios=ratios,
-            protocol_seed=protocol_seed, bpcer_target=bpcer_target,
+            samples, records, sweep_cfg, out_dir=leg_out, protocol=protocol
         )
     return results
 
@@ -387,9 +401,7 @@ def run_single_channel_study(
     cfg: TrainConfig,
     seeds: Sequence[int] = (0, 1, 2, 3, 4),
     out_dir: str | Path | None = None,
-    ratios: Sequence[float] = (0.5, 0.25, 0.25),
-    protocol_seed: int = 0,
-    bpcer_target: float = 0.01,
+    protocol: Protocol = Protocol(),
 ) -> dict:
     """2x2 design: {BCE (gamma 0), cross-modal focal (cfg.loss.gamma)} x {head a, b}.
 
@@ -401,7 +413,7 @@ def run_single_channel_study(
         raise ValueError("seed list must be non-empty")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"repeated seed in {list(seeds)}")
-    split = protocol_split(records, ratios, protocol_seed)
+    split = protocol_split(records, protocol)
     pool = by_id(samples)
     variants = {"bce": 0.0, "cmfl": float(cfg.loss.gamma)}
     per_seed: dict[str, list[float]] = {
@@ -411,9 +423,9 @@ def run_single_channel_study(
         for variant, gamma in variants.items():
             run_cfg = replace(cfg, seed=seed, loss=replace(cfg.loss, gamma=gamma))
             _, report_a, dev, eval_ = run_leg(
-                split, pool, run_cfg, "a", bpcer_target=bpcer_target
+                split, pool, run_cfg, "a", bpcer_target=protocol.bpcer_target
             )
-            tau_b = threshold_at_bpcer(dev, target=bpcer_target, head="b")
+            tau_b = threshold_at_bpcer(dev, target=protocol.bpcer_target, head="b")
             per_seed[f"{variant}_head_a"].append(report_a.acer)
             per_seed[f"{variant}_head_b"].append(apcer_bpcer_acer(eval_, tau_b, head="b").acer)
     study = {
@@ -426,9 +438,7 @@ def run_single_channel_study(
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "single_channel_study.json").write_text(
-            json.dumps(study, indent=2, sort_keys=True) + "\n"
-        )
+        write_json(out_dir / "single_channel_study.json", study)
     return study
 
 
@@ -437,8 +447,7 @@ def run_cross_dataset(
     target: tuple[Sequence[MultiModalSample], Sequence[ManifestRecord]],
     cfg: TrainConfig,
     out_dir: str | Path | None = None,
-    ratios: Sequence[float] = (0.5, 0.25, 0.25),
-    protocol_seed: int = 0,
+    protocol: Protocol = Protocol(),
 ) -> dict:
     """Train on the source grandtest protocol, pick the EER threshold on the
     source dev fold, and report HTER on the target eval fold (plus the
@@ -454,8 +463,8 @@ def run_cross_dataset(
             f"incompatible shapes between datasets: "
             f"{shape_of(src_samples)} vs {shape_of(tgt_samples)}"
         )
-    src_split = protocol_split(src_records, ratios, protocol_seed)
-    tgt_split = protocol_split(tgt_records, ratios, protocol_seed)
+    src_split = protocol_split(src_records, protocol)
+    tgt_split = protocol_split(tgt_records, protocol)
     tgt_pool = by_id(tgt_samples)
     params, intra, dev_records, intra_records = run_leg(
         src_split, by_id(src_samples), cfg, threshold_rule="eer"
@@ -478,9 +487,7 @@ def run_cross_dataset(
         write_score_file(out_dir / "scores_dev_joint.tsv", dev_records)
         write_score_file(out_dir / "scores_eval_intra_joint.tsv", intra_records)
         write_score_file(out_dir / "scores_eval_cross_joint.tsv", cross_records)
-        (out_dir / "cross_dataset.json").write_text(
-            json.dumps(result, indent=2, sort_keys=True) + "\n"
-        )
+        write_json(out_dir / "cross_dataset.json", result)
     return result
 
 

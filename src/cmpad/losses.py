@@ -54,7 +54,7 @@ class LossParams:
 
     def __post_init__(self) -> None:
         for key in ("alpha_bonafide", "alpha_attack", "gamma"):
-            if getattr(self, key) < 0:
+            if not getattr(self, key) >= 0:  # written so that NaN fails it
                 raise ValueError(f"loss.{key} must be >= 0, got {getattr(self, key)!r}")
         if not 0.0 <= self.mix_lambda <= 1.0:
             raise ValueError(f"loss.mix_lambda must be in [0, 1], got {self.mix_lambda!r}")

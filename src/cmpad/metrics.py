@@ -227,7 +227,25 @@ def read_score_file(path: str | Path) -> list[ScoreRecord]:
     return out
 
 
+def _spell_non_finite(value):
+    """`value` with each non-finite float spelled "inf", "-inf" or "nan", as
+    the score files spell it."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {k: _spell_non_finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spell_non_finite(v) for v in value]
+    return value
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """`payload` as strict JSON (indented, keys sorted); a threshold sentinel
+    or other non-finite float becomes a string (`_spell_non_finite`)."""
+    text = json.dumps(_spell_non_finite(payload), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
+
+
 def write_report(path: str | Path, report: MetricsReport, provenance: dict) -> None:
     """Report file: all metric fields plus provenance (protocol, head, rule)."""
-    payload = {"metrics": asdict(report), "provenance": dict(provenance)}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, {"metrics": asdict(report), "provenance": dict(provenance)})

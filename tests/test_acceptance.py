@@ -19,6 +19,7 @@ from cmpad.cli import DEFAULT_CONFIG, build_generator_spec, build_train_config
 from cmpad.datagen import generate
 from cmpad.datasets import load_dataset, make_grandtest, make_loo, save_dataset, validate_split
 from cmpad.harness import (
+    Protocol,
     _stream,
     by_id,
     evaluate,
@@ -279,7 +280,7 @@ def test_criterion_07_single_channel_trend(desk_dataset, desk_cfg, tmp_path):
     cfg = replace(desk_cfg, epochs=25)
     study = run_single_channel_study(
         samples, records, cfg, seeds=(0, 1, 2, 3, 4),
-        out_dir=tmp_path, protocol_seed=DEFAULT_CONFIG["protocol"]["seed"],
+        out_dir=tmp_path, protocol=Protocol(seed=DEFAULT_CONFIG["protocol"]["seed"]),
     )
     report_path = tmp_path / "single_channel_study.json"
     assert report_path.exists()
@@ -298,7 +299,7 @@ def test_criterion_08_loo_shape(desk_dataset, desk_cfg, tmp_path):
     samples, records = desk_dataset
     result = run_loo(
         samples, records, replace(desk_cfg, epochs=4), out_dir=tmp_path / "loo",
-        protocol_seed=DEFAULT_CONFIG["protocol"]["seed"],
+        protocol=Protocol(seed=DEFAULT_CONFIG["protocol"]["seed"]),
     )
     attacks = sorted({r.attack_type for r in records if r.attack_type != "bonafide"})
     assert [row.attack for row in result.rows] == attacks
@@ -320,7 +321,7 @@ def test_criterion_09_determinism(desk_dataset, desk_cfg, tmp_path):
     for name in ("r1", "r2"):
         run_loo(
             samples, records, cfg, out_dir=tmp_path / name,
-            protocol_seed=DEFAULT_CONFIG["protocol"]["seed"],
+            protocol=Protocol(seed=DEFAULT_CONFIG["protocol"]["seed"]),
         )
     files1 = sorted(
         p.relative_to(tmp_path / "r1")

@@ -6,6 +6,7 @@ import runpy
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -16,12 +17,13 @@ from hypothesis import strategies as st
 import cmpad
 from cmpad import cli, harness
 from cmpad.cli import (
-    DEFAULT_CONFIG, build_generator_spec, build_train_config, load_effective_config, main,
+    DEFAULT_CONFIG, build_generator_spec, build_protocol, build_train_config,
+    load_effective_config, main,
 )
 from cmpad.datagen import GeneratorSpec
 from cmpad.datasets import load_manifest, make_grandtest, write_manifest
 from cmpad.errors import ConfigError
-from cmpad.harness import TrainConfig
+from cmpad.harness import Protocol, TrainConfig
 from cmpad.network import NetworkConfig, init_network, save_checkpoint
 
 TINY = {
@@ -215,6 +217,42 @@ class TestConfig:
     def test_built_in_defaults_are_the_dataclass_defaults(self):
         assert build_train_config(DEFAULT_CONFIG) == TrainConfig()
         assert build_generator_spec(DEFAULT_CONFIG) == GeneratorSpec()
+
+    def test_protocol_default_is_the_dataclass_default(self):
+        assert DEFAULT_CONFIG["protocol"] == json.loads(json.dumps(asdict(Protocol())))
+        assert build_protocol(DEFAULT_CONFIG) == Protocol()
+
+    @pytest.mark.parametrize("seed", [-1, 2**31])
+    @pytest.mark.parametrize("section", ["generator", "train", "protocol"])
+    def test_seed_out_of_range_exit_code(self, tmp_path, dataset, capsys, section, seed):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**TINY, section: {**TINY.get(section, {}), "seed": seed}}))
+        out = tmp_path / "runs"
+        assert main(["train", "--data", str(dataset), "--config", str(bad),
+                     "--out", str(out), "--name", "bad"]) == 2
+        assert f"{section}.seed must be in [0, 2**31), got {seed}" in capsys.readouterr().err
+        assert not out.exists()  # rejected before the run directory is made
+
+    @pytest.mark.parametrize("seed", ["-1", "2147483648"])
+    @pytest.mark.parametrize("command, key", [("gen-data", "generator.seed"),
+                                              ("train", "train.seed")])
+    def test_seed_flag_out_of_range_exit_code(self, tmp_path, tiny_config, dataset, capsys,
+                                              command, key, seed):
+        out = tmp_path / "runs"
+        where = [str(out / "ds")] if command == "gen-data" else ["--data", str(dataset)]
+        assert main([command, *where, "--config", str(tiny_config), "--out", str(out),
+                     f"--seed={seed}"]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["-1", "0,2147483648"])
+    def test_seeds_flag_out_of_range_exit_code(self, tmp_path, tiny_config, dataset, seeds):
+        out = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exc:
+            main(["single-channel", f"--seeds={seeds}", "--data", str(dataset),
+                  "--config", str(tiny_config), "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_file_overrides_default(self, tiny_config):
         cfg = load_effective_config(str(tiny_config), {})
@@ -474,6 +512,24 @@ class TestRunCommands:
             assert "dev fold has no bonafide sample" in capsys.readouterr().err
             status = out / argv[0] / "status"
             assert status.read_text() == "failed: DataError\n" if made else not status.exists()
+
+    def test_sentinel_threshold_reports_are_strict_json(self, tmp_path, dataset):
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        path = tmp_path / "target1.json"  # BPCER target 1 thresholds at a sentinel
+        path.write_text(json.dumps({**TINY, "protocol": {"bpcer_target": 1}}))
+        out = tmp_path / "runs"
+        common = ["--data", str(dataset), "--config", str(path), "--out", str(out)]
+        assert main(["train", *common, "--name", "tr"]) == 0
+        assert main(["eval", *common, "--name", "ev",
+                     "--checkpoint", str(out / "tr" / "checkpoint.bin")]) == 0
+        assert main(["loo", *common, "--name", "loo"]) == 0
+        report = json.loads((out / "ev" / "report_grandtest.json").read_text(),
+                            parse_constant=refuse)
+        assert report["metrics"]["threshold"] == "-inf"
+        summary = json.loads((out / "loo" / "summary.json").read_text(), parse_constant=refuse)
+        assert {row["threshold"] for row in summary["rows"]} == {"-inf"}
 
     def test_every_design_honours_protocol_section(self, tmp_path, dataset, monkeypatch):
         # a split seed and BPCER target that differ from every default

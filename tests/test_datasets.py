@@ -156,6 +156,23 @@ class TestManifestAttackTypes:
         with pytest.raises(DataError, match=f"manifest.tsv:{line}: path separator"):
             load_manifest(root)
 
+    @pytest.mark.parametrize("name, reason", [
+        ("X" * 252, "longer than 255 bytes"),  # loo_ plus 252 bytes
+        ("\u00c9" * 126, "longer than 255 bytes"),  # 2 UTF-8 bytes a character
+        ("B\x00VISIBLE", "NUL in attack type"),
+    ])
+    def test_unnameable_leg_directory_rejected(self, dataset_dir, name, reason):
+        root, _, records = dataset_dir
+        write_manifest(root / "manifest.tsv", self.rename(records, "B_VISIBLE", name))
+        line = 2 + next(i for i, r in enumerate(records) if r.attack_type == "B_VISIBLE")
+        with pytest.raises(DataError, match=f"manifest.tsv:{line}: .*{reason}"):
+            load_manifest(root)
+
+    def test_longest_leg_directory_name_accepted(self, dataset_dir):
+        root, _, records = dataset_dir
+        write_manifest(root / "manifest.tsv", self.rename(records, "B_VISIBLE", "X" * 251))
+        assert "X" * 251 in {r.attack_type for r in load_manifest(root)}
+
     def test_case_collision_rejected(self, dataset_dir):
         root, _, records = dataset_dir
         renamed = self.rename(self.rename(records, "A_VISIBLE", "b_visible"),
@@ -180,6 +197,20 @@ class TestManifestAttackTypes:
         made = sorted(set(tmp_path.rglob("*")) - set(before))
         assert all(p.is_relative_to(tmp_path / "runs" / "loo") for p in made if p.is_file()), made
         assert not (tmp_path / "runs" / "escaped").exists()
+
+    def test_loo_with_too_long_attack_type_exits_3_before_any_leg(self, dataset_dir, tmp_path):
+        root, _, records = dataset_dir
+        write_manifest(root / "manifest.tsv", self.rename(records, "B_VISIBLE", "X" * 300))
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps({
+            "network": {"input_height": 16, "input_width": 16, "blocks_per_branch": 2,
+                        "base_filters": 4, "embedding_dim": 8},
+            "train": {"epochs": 1},
+        }))
+        code = main(["loo", "--data", str(root), "--config", str(config),
+                     "--out", str(tmp_path / "runs"), "--name", "loo"])
+        assert code == 3
+        assert not (tmp_path / "runs").exists()  # no run directory, so no leg directory
 
 
 class TestGrandtest:

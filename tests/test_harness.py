@@ -1,5 +1,7 @@
+import inspect
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -12,12 +14,14 @@ from cmpad.datagen import GeneratorSpec, MultiModalSample, generate
 from cmpad.datasets import make_grandtest, make_loo
 from cmpad.errors import DataError
 from cmpad.harness import (
+    Protocol,
     TrainConfig,
     by_id,
     config_hash,
     dump_score_distributions,
     emit_loss_curves,
     evaluate,
+    protocol_split,
     run_cross_dataset,
     run_gamma_sweep,
     run_loo,
@@ -37,6 +41,33 @@ from tests.conftest import TINY_SPEC, TINY_TRAIN
 @pytest.fixture(scope="session")
 def grandtest(tiny_records):
     return make_grandtest(tiny_records, seed=2)
+
+
+class TestProtocol:
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"ratios": [0.5, 0.5]}, "protocol.ratios"),
+        ({"ratios": [-0.25, 0.75, 0.5]}, "protocol.ratios"),
+        ({"ratios": [0.5, 0.2, 0.2]}, "protocol.ratios"),  # sums to 0.9
+        ({"ratios": [True, 0, 0]}, "protocol.ratios"),  # a bool is not a fraction
+        ({"bpcer_target": 1.5}, "protocol.bpcer_target"),
+        ({"bpcer_target": float("nan")}, "protocol.bpcer_target"),
+        ({"seed": -1}, "protocol.seed"),
+        ({"seed": 2**31}, "protocol.seed"),
+    ])
+    def test_rejects_naming_the_key(self, kwargs, key):
+        with pytest.raises(ValueError, match=re.escape(key)):
+            Protocol(**kwargs)
+
+    def test_ratios_are_stored_as_a_tuple(self):
+        assert Protocol(ratios=[0.5, 0.25, 0.25]) == Protocol()
+
+    @pytest.mark.parametrize("design", [
+        protocol_split, run_loo, run_gamma_sweep, run_single_channel_study, run_cross_dataset,
+    ])
+    def test_designs_take_one_protocol_value(self, design):
+        parameters = set(inspect.signature(design).parameters)
+        assert "protocol" in parameters
+        assert not parameters & {"ratios", "protocol_seed", "bpcer_target"}
 
 
 class TestTrain:
@@ -471,7 +502,7 @@ class TestCrossDataset:
         wins = 0
         for seed in range(5):
             result = run_cross_dataset(
-                source, target, replace(cfg, seed=seed), protocol_seed=0
+                source, target, replace(cfg, seed=seed), protocol=Protocol(seed=0)
             )
             wins += result["cross_hter"] >= result["intra_hter"]
         assert wins >= 4

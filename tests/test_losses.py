@@ -194,6 +194,12 @@ class TestCmfl:
         assert lv.value == cmfl(0.5, 0.9, 1.0, 3.0).value
 
 
+@pytest.mark.parametrize("key", ["gamma", "alpha_bonafide", "alpha_attack"])
+def test_loss_params_reject_nan(key):
+    with pytest.raises(ValueError, match=f"loss.{key} must be >= 0"):
+        LossParams(**{key: float("nan")})
+
+
 class TestCombinedLoss:
     def test_all_heads_perfect(self):
         lv = combined_loss(1.0, 1.0, 1.0, 1, LossParams())
