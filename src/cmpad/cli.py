@@ -19,6 +19,7 @@ import argparse
 import copy
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -153,9 +154,15 @@ def _pct(x: float) -> str:
 
 
 def _check_output_dir(out: Path, force: bool, what: str) -> None:
-    """Refuses `out` before anything is written to it: when it or a parent
-    exists but is not a directory, or when it is a non-empty directory and
-    `force` is not set."""
+    """Refuses `out` before anything is written to it: when a component of
+    its path holds a NUL or is longer than the usual 255-byte file-name
+    limit (a config error), when it or a parent exists but is not a
+    directory, or when it is a non-empty directory and `force` is not set."""
+    for part in out.parts:
+        if "\0" in part or len(os.fsencode(part)) > 255:
+            raise ConfigError(
+                f"{what} name {part[:20]!r}... holds a NUL or is longer than 255 bytes"
+            )
     blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
     if blocker is not None:
         raise DataError(f"{what} {out}: {blocker} is not a directory")
@@ -204,6 +211,7 @@ class RunInputs:
 
     samples: list  # of MultiModalSample, from --data
     records: list  # of ManifestRecord, from --data
+    target: tuple | None  # (samples, records) from --data2, for xdb
     train_cfg: TrainConfig | None  # subcommands that train
     params: ParameterSet | None  # subcommands that read --checkpoint
     split: ProtocolSplit | None  # subcommands that work on one protocol split
@@ -215,36 +223,39 @@ class RunInputs:
 def open_run(args, cfg: dict, with_split: bool = False):
     """The preamble every run subcommand shares, then its run directory.
 
-    Checks the protocol and generator sections, loads --data (only the
-    channels --head needs), builds the TrainConfig or reads --checkpoint,
-    and resolves the grandtest (or the --attack leave-one-out) split when
-    `with_split`. The inputs are yielded inside the run directory, whose
-    status marker ends as done, interrupted or failed.
+    Checks every config section and the run directory before it decodes
+    anything, then loads --data (only the channels --head needs) and
+    --data2 if given, reads --checkpoint if given, and resolves the
+    grandtest (or the --attack leave-one-out) split when `with_split`. The
+    inputs are yielded inside the run directory, whose status marker ends
+    as done, interrupted or failed.
     """
     if args.data is None:
         raise ConfigError("--data is required for this command")
     protocol = build_protocol(cfg)
-    build_generator_spec(cfg)  # config.json echoes it, and gen-data must read that back
+    # config.json echoes every section, and gen-data and train must read it back
+    build_generator_spec(cfg)
+    train_cfg = build_train_config(cfg)
+    out = Path(cfg["out_root"]) / args.name
+    _check_output_dir(out, args.force, "run directory")
     samples, records = load_dataset(
         args.data, channels=HEAD_BRANCHES[getattr(args, "head", "joint")]
     )
-    if getattr(args, "checkpoint", None) is None:
-        train_cfg, params = build_train_config(cfg), None
-    elif not Path(args.checkpoint).is_file():
-        raise DataError(f"checkpoint file not found: {args.checkpoint}")
-    else:
+    target = load_dataset(args.data2) if getattr(args, "data2", None) is not None else None
+    params = None
+    if getattr(args, "checkpoint", None) is not None:
+        if not Path(args.checkpoint).is_file():
+            raise DataError(f"checkpoint file not found: {args.checkpoint}")
         train_cfg, params = None, load_checkpoint(args.checkpoint)
     split = None
     if with_split:
         split = protocol_split(records, protocol, attack=getattr(args, "attack", None))
-    out = Path(cfg["out_root"]) / args.name
-    _check_output_dir(out, args.force, "run directory")
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "config.json", cfg)
     status = out / "status"
     status.write_text("running\n")
     try:
-        yield RunInputs(samples, records, train_cfg, params, split, protocol, out)
+        yield RunInputs(samples, records, target, train_cfg, params, split, protocol, out)
     except KeyboardInterrupt:
         status.write_text("interrupted\n")
         raise
@@ -332,10 +343,9 @@ def cmd_single_channel(args, cfg: dict) -> int:
 def cmd_xdb(args, cfg: dict) -> int:
     if args.data2 is None:
         raise ConfigError("--data2 (target dataset) is required for xdb")
-    target = load_dataset(args.data2)
     with open_run(args, cfg) as run:
         result = run_cross_dataset(
-            (run.samples, run.records), target, run.train_cfg, out_dir=run.out,
+            (run.samples, run.records), run.target, run.train_cfg, out_dir=run.out,
             protocol=run.protocol,
         )
     _print_table(

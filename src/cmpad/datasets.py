@@ -20,6 +20,7 @@ attack from train/dev and reduce eval to bonafide plus that attack.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -86,22 +87,17 @@ def write_raster_d16(path: Path, depth: np.ndarray) -> None:
     )
 
 
+# Magic, width, height and maxval: each token a run of non-whitespace,
+# led by any whitespace and `#` comments (to the end of their line). A
+# `#` inside a token is part of it; a header cut short gives empty tokens.
+_NETPBM_HEADER = re.compile(rb"(?:\s|#[^\n]*)*(\S*)" * 4)
+
+
 def _read_netpbm(path: Path) -> np.ndarray:
     raw = path.read_bytes()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    pos += 1  # single whitespace after maxval
+    header = _NETPBM_HEADER.match(raw)
+    fields = list(header.groups())
+    pos = header.end() + 1  # single whitespace after maxval
     try:
         magic, w, h, maxval = fields[0], int(fields[1]), int(fields[2]), int(fields[3])
         if min(w, h) < 1:
@@ -114,9 +110,9 @@ def _read_netpbm(path: Path) -> np.ndarray:
     if channels is None:
         raise DataError(f"{path.name}: unsupported raster magic {magic!r}")
     count = w * h * channels
-    data = np.frombuffer(raw[pos : pos + count], dtype=np.uint8)
-    if data.size != count:
+    if len(raw) - pos < count:
         raise DataError(f"{path.name}: truncated raster")
+    data = np.frombuffer(raw, dtype=np.uint8, count=count, offset=pos)
     return data.reshape(h, w, channels).transpose(2, 0, 1) / 255.0
 
 
@@ -140,8 +136,10 @@ def _read_d16(path: Path) -> np.ndarray:
 
 
 def read_channel(path: Path) -> np.ndarray:
-    """Decode one channel raster to (C, H, W) floats in [0, 1]; raw depth
-    is MAD normalized at k = 3."""
+    """Decode one channel raster to (C, H, W) floats in [0, 1]: a binary
+    Netpbm raster (P5/P6, maxval 255; whitespace-separated header tokens,
+    `#` comments to the end of their line, bytes after the raster ignored)
+    divided by 255, or `.d16` raw depth MAD normalized at k = 3."""
     if path.suffix == ".d16":
         return mad_normalize(_read_d16(path))[None, :, :]
     return _read_netpbm(path)

@@ -233,6 +233,55 @@ class TestConfig:
         assert f"{section}.seed must be in [0, 2**31), got {seed}" in capsys.readouterr().err
         assert not out.exists()  # rejected before the run directory is made
 
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    @pytest.mark.parametrize("bad_cfg, flags, message", [
+        ({"train": {"epochs": 0}}, [], "train.epochs must be >= 1"),
+        ({"loss": {"gamma": -1}}, [], "loss.gamma must be >= 0"),
+        ({"optimizer": {"eps": 0.0}}, [], "optimizer.eps"),
+        ({}, ["--seed=-1"], "train.seed"),
+    ])
+    def test_checkpoint_runs_check_the_training_sections(
+            self, tmp_path, dataset, capsys, monkeypatch, command, bad_cfg, flags, message):
+        # config.json echoes these sections, and train must accept that echo
+        ckpt = tmp_path / "init.bin"
+        save_checkpoint(init_network(NetworkConfig(**TINY["network"])), ckpt)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**TINY, **bad_cfg}))
+        monkeypatch.setattr(cli, "load_dataset", reach_work)  # refused before any decode
+        out = tmp_path / "runs"
+        assert main([command, "--checkpoint", str(ckpt), "--data", str(dataset),
+                     "--config", str(bad), "--out", str(out), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["loo", "--name", "n" * 256],
+        ["eval", "--checkpoint", "{tmp}/init.bin", "--name", "é" * 128],  # 256 bytes in UTF-8
+        ["train", "--name", "sub/" + "n" * 256],
+        ["train", "--out", "{tmp}/" + "r" * 256],
+        ["gen-data", "{tmp}/" + "d" * 256],
+        ["train", "--out", "r\0r"],  # only a config file can spell a NUL
+    ], ids=["loo", "eval-utf8", "train-nested", "train-out-root", "gen-data", "nul"])
+    def test_unusable_run_dir_name_exit_code(self, tmp_path, tiny_config, dataset, capsys,
+                                             monkeypatch, argv):
+        save_checkpoint(init_network(NetworkConfig(**TINY["network"])), tmp_path / "init.bin")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        if argv[0] != "gen-data":
+            argv += ["--data", str(dataset)]
+        monkeypatch.setattr(cli, "load_dataset", reach_work)  # refused before any decode
+        monkeypatch.setattr(cli, "generate", reach_work)
+        before = sorted(tmp_path.rglob("*"))
+        with contextlib.chdir(tmp_path):
+            assert main([*argv, "--config", str(tiny_config)]) == 2
+        assert "holds a NUL or is longer than 255 bytes" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+    def test_name_of_255_bytes_is_accepted(self, tmp_path, tiny_config, dataset):
+        out = tmp_path / "runs"
+        assert main(["train", "--data", str(dataset), "--config", str(tiny_config),
+                     "--out", str(out), "--name", "é" * 127 + "n", "--epochs", "1"]) == 0
+        assert (out / ("é" * 127 + "n") / "checkpoint.bin").is_file()
+
     @pytest.mark.parametrize("seed", ["-1", "2147483648"])
     @pytest.mark.parametrize("command, key", [("gen-data", "generator.seed"),
                                               ("train", "train.seed")])

@@ -79,6 +79,32 @@ class TestRasterIO:
             with pytest.raises(DataError, match="bad netpbm header"):
                 read_channel(path)
 
+    @pytest.mark.parametrize("suffix, magic, channels", [("pgm", b"P5", 1), ("ppm", b"P6", 3)])
+    def test_netpbm_header_whitespace_and_comments(self, tmp_path, suffix, magic, channels):
+        # tokens split by any whitespace run and `#` comments to the end of
+        # their line; one whitespace byte ends the header
+        rng = np.random.default_rng(2)
+        img = np.floor(rng.random((channels, 3, 5)) * 255) / 255
+        plain = tmp_path / f"plain.{suffix}"
+        write_raster_8bit(plain, img)
+        payload = plain.read_bytes().split(b"\n", 3)[3]
+        spaced = tmp_path / f"spaced.{suffix}"
+        spaced.write_bytes(
+            b"# leading comment\n" + magic + b"\t\n  5 #\tcomment 7 7\n\t\r\n3\n#\n  255\t"
+            + payload
+        )
+        expected = read_channel(plain)
+        assert expected.shape == (channels, 3, 5)
+        out = read_channel(spaced)
+        assert out.dtype == expected.dtype and out.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(out, img)
+
+    def test_netpbm_hash_inside_a_token_is_part_of_it(self, tmp_path):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"P5 2#3 2 255\n" + bytes(6))
+        with pytest.raises(DataError, match="bad netpbm header"):
+            read_channel(path)
+
 
 class TestDatasetRoundtrip:
     def test_pixels_byte_equal_after_roundtrip(self, dataset_dir):
